@@ -1,7 +1,7 @@
 """Batch command surface: JSON-lines reports with replayable configs.
 
 Every output record embeds the run configuration (command, parameters,
-seed, shards, budgets), so identical invocations produce byte-identical
+seed, budgets), so identical invocations produce byte-identical
 output; timestamps are off unless requested.  Exit codes: 0 ok, 2 usage,
 3 budget exceeded, 4 integer range violation.
 """
@@ -103,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     parser.add_argument("--record-store", default=None, help="record store path (also env ADDCOMB_RECORDS)")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized commands (default 0)")
-    parser.add_argument("--shards", type=int, default=1)
     parser.add_argument("--timestamps", action="store_true", help="stamp scan records with wall time")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -203,7 +202,6 @@ def _config(args, params: dict) -> dict:
         "command": args.command,
         "params": params,
         "seed": args.seed,
-        "shards": args.shards,
         "budgets": {
             "enum": gaps.DEFAULT_ENUM_BUDGET,
             "pairs": gaps.DEFAULT_PAIR_BUDGET,
@@ -299,9 +297,8 @@ def run(args) -> int:
                           "frontier": frontier.to_json()})
         record = powers.qk_oracle(
             args.k, args.n, args.pmax, args.rmax,
-            shards=args.shards,
             resume=resume_state,
-            checkpoint=write_checkpoint if args.shards == 1 else None,
+            checkpoint=write_checkpoint,
             checkpoint_every=args.checkpoint_every,
             timestamp=_now(args),
         )

@@ -121,11 +121,12 @@ def bound_report(a: IntSet, c: IntSet, points: PointSet2D, squares_b: bool = Fal
 
     bound56 is tau^(1/6) |C| |L|^(5/6) + |L|; bound34 tightens the
     exponents to 1/4 and 3/4 and applies when the b-side comes from
-    squares.  Neither is asserted; only the trivial cap sigma <= |A||C||L|
-    is.
+    squares.  Neither is enforced; only the trivial cap sigma <= |A||C||L|
+    is checked.
     """
     sigma = count_solutions(a, c, points)
-    assert sigma <= len(a) * len(c) * len(points)
+    if sigma > len(a) * len(c) * len(points):
+        raise RuntimeError(f"sigma {sigma} exceeds the trivial cap |A||C||L|")
     t = tau(points)
     size = len(points)
     bound56 = t ** (1 / 6) * len(c) * size ** (5 / 6) + size

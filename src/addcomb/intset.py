@@ -188,7 +188,8 @@ def signed_sumset(a: IntSet, n: int, m: int) -> IntSet:
         acc = a if acc is None else sumset(acc, a)
     for _ in range(m):
         acc = neg if acc is None else sumset(acc, neg)
-    assert acc is not None
+    if acc is None:
+        raise RuntimeError("iterated sumset produced no terms")
     return acc
 
 
@@ -234,7 +235,8 @@ def rep_function(a: IntSet, b: IntSet, sign: str = "plus", method: str = "auto")
         hist = _rep_dense(a, rhs, lo, span)
     else:
         raise ValueError(f"unknown rep_function method {method!r}")
-    assert hist.total == len(a) * len(rhs)
+    if hist.total != len(a) * len(rhs):
+        raise RuntimeError(f"representation mass {hist.total} != |A||B| = {len(a) * len(rhs)}")
     return hist
 
 

@@ -4,6 +4,12 @@ Power membership is decided by exact integer root extraction (binary
 search, no floating point).  The record-of-the-box scanner is exhaustive
 over a declared (p, r) box with a deterministic tie-break, so every record
 is replayable from its witness.
+
+The box scan enumerates the sparse table T of k-th powers up to
+pmax + rmax*(n-1), about (pmax + rmax*n)^(1/k) entries, instead of testing
+each cell: a row r costs O(n log|T| + hits) integer operations, where hits
+counts the pairs (p, j) with p + r*j a power, in place of (pmax+1)*n root
+tests.  Memory stays O(TILE_CELLS) whatever the box.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .checked import check_int64, checked_mul
 from .errors import BudgetExceededError
@@ -20,6 +28,7 @@ from .intset import IntSet, energy, signed_sumset
 DEFAULT_SCAN_BUDGET = 1 << 28
 DEFAULT_INCLUSION_BUDGET = 1 << 26
 CHECKPOINT_EVERY = 10**6
+TILE_CELLS = 1 << 16
 
 
 def kth_root_floor(n: int, k: int) -> int:
@@ -201,38 +210,54 @@ def trend_ratio(count: int, n: int, k: int) -> float:
     return float(f"{count / n ** exponent:.12g}")
 
 
-def _scan_stripe(
-    k: int,
-    n: int,
-    pmax: int,
-    r_lo: int,
-    r_hi: int,
-    best: tuple[int, int, int],
-    resume: ScanFrontier | None,
-    checkpoint: Callable[[ScanFrontier], None] | None,
-    checkpoint_every: int,
-) -> tuple[int, int, int]:
-    """Scan r in [r_lo, r_hi], p in [0, pmax].  best is (count, r, p); only a
-    strictly larger count replaces it, so the first maximizer in (r, p)
-    order wins, which is the smallest-r-then-smallest-p tie-break."""
-    best_count, best_r, best_p = best
-    cells = 0
-    for r in range(r_lo, r_hi + 1):
-        p_start = 0
-        if resume is not None:
-            if r < resume.r or (r == resume.r and resume.p >= pmax):
-                continue
-            if r == resume.r:
-                p_start = resume.p + 1
-        for p in range(p_start, pmax + 1):
-            c = count_in_ap(k, p, r, n)
-            if c > best_count:
-                best_count, best_r, best_p = c, r, p
-            cells += 1
-            if checkpoint is not None and cells % checkpoint_every == 0:
-                checkpoint(ScanFrontier(r=r, p=p, best_count=best_count,
-                                        witness_p=best_p, witness_r=best_r))
-    return best_count, best_r, best_p
+def _box_tiles(pmax: int, rmax: int, rows: int, resume: ScanFrontier | None):
+    """Tiles (r_lo, r_hi, p_lo, p_hi) of the box in (r, p) scan order.
+
+    A tile holds `rows` whole rows, or, when rows == 1, one p-window of at
+    most TILE_CELLS cells.  A frontier skips every cell up to and including
+    its own (r, p); a mid-row frontier leaves the rest of its row as the
+    first tiles.
+    """
+    r_start = 1
+    if resume is not None:
+        r_start = max(1, resume.r + 1)
+        if 1 <= resume.r <= rmax and resume.p < pmax:
+            for p_lo in range(max(0, resume.p + 1), pmax + 1, TILE_CELLS):
+                yield resume.r, resume.r, p_lo, min(pmax, p_lo + TILE_CELLS - 1)
+    for r_lo in range(r_start, rmax + 1, rows):
+        r_hi = min(rmax, r_lo + rows - 1)
+        for p_lo in range(0, pmax + 1, TILE_CELLS):
+            yield r_lo, r_hi, p_lo, min(pmax, p_lo + TILE_CELLS - 1)
+
+
+def _count_tile(table: np.ndarray, n: int, r_lo: int, r_hi: int, p_lo: int, p_hi: int) -> np.ndarray:
+    """counts[r - r_lo, p - p_lo] = #{j < n : p + r*j in table} over the tile.
+
+    For each row r and each j, the powers v in [r*j + p_lo, r*j + p_hi] are
+    the hits of that term, one for cell p = v - r*j.  The (row, j) pairs go
+    in chunks small enough that neither a chunk's pairs nor its hits exceed
+    TILE_CELLS: the gaps between k-th powers grow, so no window of the tile's
+    width holds more powers than [0, width) does.
+    """
+    rows = r_hi - r_lo + 1
+    width = p_hi - p_lo + 1
+    per_pair = int(np.searchsorted(table, width - 1, side="right"))
+    chunk = max(1, TILE_CELLS // per_pair)
+    pairs = rows * n
+    counts = np.zeros(rows * width, dtype=np.int64)
+    for q_lo in range(0, pairs, chunk):
+        row, j = np.divmod(np.arange(q_lo, min(pairs, q_lo + chunk), dtype=np.int64), n)
+        start = (r_lo + row) * j + p_lo
+        lo = np.searchsorted(table, start, side="left")
+        lens = np.searchsorted(table, start + (width - 1), side="right") - lo
+        total = int(lens.sum())
+        if total == 0:
+            continue
+        # index every hit: the lens[i] consecutive table entries from lo[i]
+        idx = np.arange(total, dtype=np.int64) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+        cells = table[idx] + np.repeat(row * width - start, lens)
+        counts += np.bincount(cells, minlength=rows * width)
+    return counts.reshape(rows, width)
 
 
 def qk_oracle(
@@ -240,7 +265,6 @@ def qk_oracle(
     n: int,
     pmax: int,
     rmax: int,
-    shards: int = 1,
     budget: int = DEFAULT_SCAN_BUDGET,
     resume: ScanFrontier | None = None,
     checkpoint: Callable[[ScanFrontier], None] | None = None,
@@ -250,31 +274,39 @@ def qk_oracle(
     """Exhaustive maximum of count_in_ap over 0 <= p <= pmax, 1 <= r <= rmax.
 
     Ties break deterministically to the smallest r, then the smallest p.
-    The box splits into r-stripes (independent tiles merged by best count
-    under the same tie-break); checkpointing is supported for single-shard
-    scans only.
+    The box is counted tile by tile against the table of k-th powers up to
+    pmax + rmax*(n-1) (see _count_tile).  A tile holds
+    max(1, min(TILE_CELLS, checkpoint_every) // (pmax+1)) rows; after each
+    tile in which the scanned-cell count crosses a multiple of
+    checkpoint_every, the frontier is written at the tile's last row with
+    p = pmax.  A resumed scan skips every cell up to the frontier's (r, p).
     """
     if n < 1 or pmax < 0 or rmax < 1:
         raise ValueError(f"bad search box n={n}, pmax={pmax}, rmax={rmax}")
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint interval must be >= 1, got {checkpoint_every}")
     cells = (pmax + 1) * rmax
     if cells * n > budget:
         raise BudgetExceededError(f"{cells} cells x n={n} exceeds scan budget {budget}")
-    if shards > 1 and (resume is not None or checkpoint is not None):
-        raise ValueError("checkpoint/resume requires shards == 1")
-    shards = max(1, min(shards, rmax))
+    table = np.array(kth_powers_in(0, pmax + rmax * (n - 1), k).elements, dtype=np.int64)
+    rows = max(1, min(TILE_CELLS, checkpoint_every) // (pmax + 1))
     # the first cell (r=1, p=0) always beats the sentinel, so the witness is
     # always a really-scanned cell
-    best = (resume.best_count, resume.witness_r, resume.witness_p) if resume else (-1, 1, 0)
-    stripe = (rmax + shards - 1) // shards
-    for i in range(shards):
-        r_lo = 1 + i * stripe
-        r_hi = min(rmax, r_lo + stripe - 1)
-        if r_lo > r_hi:
-            break
-        best = _scan_stripe(k, n, pmax, r_lo, r_hi, best,
-                            resume if shards == 1 else None,
-                            checkpoint, checkpoint_every)
-    best_count, best_r, best_p = best
+    best_count, best_r, best_p = (resume.best_count, resume.witness_r, resume.witness_p) if resume else (-1, 1, 0)
+    scanned = 0
+    next_mark = checkpoint_every
+    for r_lo, r_hi, p_lo, p_hi in _box_tiles(pmax, rmax, rows, resume):
+        counts = _count_tile(table, n, r_lo, r_hi, p_lo, p_hi)
+        # the row-major first maximum is the smallest r, then smallest p
+        at = int(counts.argmax())
+        if counts.flat[at] > best_count:
+            row, col = divmod(at, p_hi - p_lo + 1)
+            best_count, best_r, best_p = int(counts.flat[at]), r_lo + row, p_lo + col
+        scanned += counts.size
+        if checkpoint is not None and p_hi == pmax and scanned >= next_mark:
+            checkpoint(ScanFrontier(r=r_hi, p=pmax, best_count=best_count,
+                                    witness_p=best_p, witness_r=best_r))
+            next_mark = (scanned // checkpoint_every + 1) * checkpoint_every
     return ScanRecord(
         k=k,
         n=n,
@@ -289,7 +321,10 @@ def qk_oracle(
 
 
 def replay_scan_record(record: ScanRecord) -> bool:
-    """Re-derive the recorded count from the stored witness."""
+    """Check that the witness lies in the recorded box and re-derive the
+    recorded count from it."""
+    if not (0 <= record.witness_p <= record.pmax and 1 <= record.witness_r <= record.rmax):
+        return False
     return count_in_ap(record.k, record.witness_p, record.witness_r, record.n) == record.best_count
 
 

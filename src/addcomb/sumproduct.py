@@ -114,14 +114,16 @@ def sp_graph(matching: Matching) -> BipartiteGraph:
     for a, b in matching.pairs:
         p, s = checked_mul(a, b), checked_add(a, b)
         disc = s * s - 4 * p
-        assert disc == (a - b) * (a - b) and is_kth_power(disc, 2)
+        if disc != (a - b) * (a - b) or not is_kth_power(disc, 2):
+            raise RuntimeError(f"discriminant identity fails for pair ({a}, {b})")
         edges.add((p, s))
     graph = BipartiteGraph(
         left=frozenset(p for p, _ in edges),
         right=frozenset(s for _, s in edges),
         edges=frozenset(edges),
     )
-    assert 2 * len(graph.edges) >= matching.n
+    if 2 * len(graph.edges) < matching.n:
+        raise RuntimeError(f"{len(graph.edges)} edges fall below ceil(n/2) for n={matching.n}")
     return graph
 
 
@@ -382,7 +384,8 @@ def extremal_search(
             sc = _score(combo)
             if best_score is None or sc < best_score or (sc == best_score and combo < best_pairs):
                 best_score, best_pairs = sc, combo
-        assert best_pairs is not None and best_score is not None
+        if best_pairs is None or best_score is None:
+            raise RuntimeError("exhaustive extremal search visited no matching")
         return ExtremalResult(
             matching=Matching(pairs=best_pairs), score=best_score, mode="exhaustive", seed=seed
         )

@@ -193,6 +193,20 @@ def test_qk_resume_via_store(capsys, monkeypatch, tmp_path):
     assert resumed["witness"] == full["witness"]
 
 
+def test_verify_rejects_witness_outside_box(capsys, monkeypatch, tmp_path):
+    run_cli(capsys, monkeypatch, tmp_path,
+            "qk", "--k", "2", "--n", "3", "--pmax", "100", "--rmax", "100")
+    store = RecordStore(tmp_path / "store.jsonl")
+    record = store.read_all()[-1]
+    # 1, 1025, 2049 holds one square, so the count replays but r is off the box
+    store.append({**record, "best_count": 1, "witness": {"p": 1, "r": 1024}})
+    code, out = run_cli(capsys, monkeypatch, tmp_path, "verify")
+    assert code == 1
+    verify_rows = [r for r in rows(out) if r["type"] == "verify"]
+    assert [r["ok"] for r in verify_rows] == [True, False]
+    assert not rows(out)[-1]["all_ok"]
+
+
 def test_timestamps_flag(capsys, monkeypatch, tmp_path):
     code, out = run_cli(capsys, monkeypatch, tmp_path,
                         "--timestamps", "scan-ap", "--k", "2", "--p", "0",

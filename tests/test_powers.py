@@ -17,7 +17,7 @@ from addcomb import (
     replay_scan_record,
     scan_gap,
 )
-from addcomb.powers import ScanFrontier, kth_root_floor
+from addcomb.powers import TILE_CELLS, ScanFrontier, kth_root_floor
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +124,63 @@ def test_qk_monotone_in_length():
         prev = record.best_count
 
 
-def test_qk_deterministic_and_sharded():
-    base = qk_oracle(2, 5, 70, 70)
-    again = qk_oracle(2, 5, 70, 70)
-    sharded = qk_oracle(2, 5, 70, 70, shards=7)
-    assert base == again == sharded
+def test_qk_deterministic():
+    assert qk_oracle(2, 5, 70, 70) == qk_oracle(2, 5, 70, 70)
+
+
+def assert_matches_reference_and_resumes(k, n, pmax, rmax, checkpoint_every):
+    record = qk_oracle(k, n, pmax, rmax)
+    box = (k, n, pmax, rmax, checkpoint_every)
+    assert (record.best_count, record.witness_r, record.witness_p) == qk_reference(k, n, pmax, rmax), box
+    checkpoints = []
+    again = qk_oracle(k, n, pmax, rmax, checkpoint=checkpoints.append, checkpoint_every=checkpoint_every)
+    assert again == record, box
+    for frontier in checkpoints:
+        assert frontier.p == pmax and 1 <= frontier.r <= rmax, (box, frontier)
+        assert qk_oracle(k, n, pmax, rmax, resume=frontier) == record, (box, frontier)
+
+
+def test_qk_matches_reference_randomized():
+    rng = random.Random(2024)
+    edge_boxes = [
+        (2, 5, 0, 40),  # pmax = 0
+        (3, 12, 60, 1),  # rmax = 1
+        (4, 1, 50, 30),  # n = 1
+        (2, 4, 2, 80),  # thin: (pmax+1)*n < 16
+        (2, 30, 0, 3000),  # the (row, j) pairs of one tile span several chunks
+        (2, 3, TILE_CELLS + 37, 2),  # a row wider than TILE_CELLS
+    ]
+    for k, n, pmax, rmax in edge_boxes:
+        cells = (pmax + 1) * rmax
+        assert_matches_reference_and_resumes(k, n, pmax, rmax, rng.randint(1, cells))
+    for _ in range(200):
+        k = rng.choice([2, 3, 4, 5])
+        n = rng.randint(1, 30)
+        pmax = rng.randint(0, 80)
+        rmax = rng.randint(1, 80)
+        checkpoint_every = rng.randint(1, (pmax + 1) * rmax)
+        assert_matches_reference_and_resumes(k, n, pmax, rmax, checkpoint_every)
+
+
+def prefix_frontier(k, n, pmax, r, p):
+    """The frontier a scan would hold after cell (r, p), found cell by cell."""
+    best = (-1, 1, 0)
+    for rr in range(1, r + 1):
+        for pp in range(0, (p if rr == r else pmax) + 1):
+            c = count_in_ap(k, pp, rr, n)
+            if c > best[0]:
+                best = (c, rr, pp)
+    return ScanFrontier(r=r, p=p, best_count=best[0], witness_p=best[2], witness_r=best[1])
+
+
+def test_qk_resume_mid_row():
+    full = qk_oracle(2, 3, 40, 40)
+    assert (full.witness_r, full.witness_p) == (24, 1)
+    # frontiers before the witness, inside its row on either side, and after it
+    for r, p in [(1, 0), (10, 17), (24, 0), (24, 1), (24, 39), (30, 5)]:
+        frontier = prefix_frontier(2, 3, 40, r, p)
+        assert qk_oracle(2, 3, 40, 40, resume=frontier) == full, (r, p)
+        assert qk_oracle(2, 3, 40, 40, resume=ScanFrontier.from_json(frontier.to_json())) == full
 
 
 def test_qk_resume_equals_full_scan():
@@ -143,9 +195,24 @@ def test_qk_resume_equals_full_scan():
     assert qk_oracle(2, 4, 50, 50, resume=rebuilt) == full
 
 
+def test_qk_checkpoints_at_tile_ends():
+    # 51-cell rows, 300 // 51 = 5 rows a tile: a checkpoint ends each tile
+    # whose 255 cells carry the running count past a multiple of 300
+    checkpoints = []
+    qk_oracle(2, 4, 50, 50, checkpoint=checkpoints.append, checkpoint_every=300)
+    assert [f.r for f in checkpoints] == [10, 15, 20, 25, 30, 40, 45, 50]
+    for frontier in checkpoints:
+        assert frontier == prefix_frontier(2, 4, 50, frontier.r, 50)
+
+
 def test_qk_budget():
     with pytest.raises(BudgetExceededError):
         qk_oracle(2, 100, 10**6, 10**6)
+
+
+def test_qk_rejects_bad_checkpoint_interval():
+    with pytest.raises(ValueError):
+        qk_oracle(2, 3, 10, 10, checkpoint=lambda frontier: None, checkpoint_every=0)
 
 
 def test_scan_record_round_trip():
