@@ -24,7 +24,6 @@ from .intset import (
     energy_report,
     mixed_energy,
     pluennecke_check,
-    popular_differences,
     popular_energy_sum,
 )
 from .records import RecordStore
@@ -233,7 +232,7 @@ def run(args) -> int:
         reporter = Reporter(_config(args, {"set": a.to_json(), "b_set": args.b_set_json, "method": args.method}), args.format)
         if args.b_set_json:
             b = _parse_set(args.b_set_json)
-            value = energy(a, b, method="naive" if args.method == "naive" else "auto")
+            value = energy(a, b, method="naive" if args.method == "naive" else "windowed")
             reporter.emit({"type": "energy", "value": value, "method": args.method})
         else:
             reporter.emit({"type": "energy", **energy_report(a, 2, 2, args.method).to_json()})
@@ -404,9 +403,8 @@ def run(args) -> int:
     if args.command == "popular":
         a = _parse_set(args.set_json)
         reporter = Reporter(_config(args, {"set": a.to_json(), "k": args.k}), args.format)
-        popular = popular_differences(a)
         summary = popular_energy_sum(a, args.k)
-        reporter.emit({"type": "popular", "popular": popular.to_json(), "k": args.k,
+        reporter.emit({"type": "popular", "popular": summary.popular.to_json(), "k": args.k,
                        **summary.to_json()})
         reporter.close()
         return 0

@@ -5,6 +5,13 @@ signed 64-bit integers, histograms map values to positive counts, energies
 are plain integers accumulated under a 128-bit cap.  Threshold comparisons
 (popular differences) are done by integer cross-multiplication, never with
 floats.
+
+Representation counts come from one kernel, ``_rep_windows``: it cuts the
+sum range into value windows of about WINDOW_PAIRS pair sums each and counts
+each window by sorting, so memory follows the window rather than the sum
+span.  The energies fold their moments window by window without building
+a histogram.  ``method="naive"`` selects a plain double loop, kept as the
+oracle the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -25,9 +32,9 @@ from .checked import (
 )
 from .errors import BudgetExceededError
 
-# Span at or below which rep_function uses a dense counting array; above it,
-# a hash-based sparse accumulator.  Both paths agree bit-exactly.
-DENSE_SPAN_LIMIT = 1 << 26
+# Pair sums per window of the representation-counting kernel; a window is
+# wider only when a single value has more representations than this.
+WINDOW_PAIRS = 1 << 22
 
 # Cap on tuple iterations performed by mixed_energy.
 DEFAULT_WORK_BUDGET = 1 << 26
@@ -149,7 +156,7 @@ class EnergyReport:
     k: int
     l: int
     value: int
-    method: str  # "naive" or "convolution"
+    method: str  # "convolution" (windowed kernel) or "naive" (double-loop oracle)
 
     def to_json(self) -> dict:
         return {"k": self.k, "l": self.l, "value": self.value, "method": self.method}
@@ -198,72 +205,122 @@ def signed_sumset(a: IntSet, n: int, m: int) -> IntSet:
 # ---------------------------------------------------------------------------
 
 
-def rep_function(a: IntSet, b: IntSet, sign: str = "plus", method: str = "auto") -> RepHistogram:
+def rep_function(a: IntSet, b: IntSet, sign: str = "plus", method: str = "windowed") -> RepHistogram:
     """Histogram of x -> #{(p, q) in A x B : p +- q = x}.
 
-    method selects the counting path: "dense" uses a flat counting array
-    (span-limited), "sparse" a hash accumulator, "naive" a plain double
-    loop, "auto" picks dense or sparse by span.  All paths agree exactly.
+    method "windowed" counts with the value-windowed kernel (``_rep_windows``),
+    "naive" with a plain double loop; the two agree exactly.
     """
+    if method not in ("windowed", "naive"):
+        raise ValueError(f"unknown rep_function method {method!r}")
+    rhs = _signed(a, b, sign)
+    entries: dict[int, int] = {}
+    if method == "naive":
+        for x in a:
+            for y in rhs:
+                s = x + y
+                entries[s] = entries.get(s, 0) + 1
+    else:
+        for values, counts in _rep_windows(a, rhs):
+            entries.update(zip(values.tolist(), counts.tolist()))
+    hist = RepHistogram(entries)
+    if hist.total != len(a) * len(rhs):
+        raise RuntimeError(f"representation mass {hist.total} != |A||B| = {len(a) * len(rhs)}")
+    return hist
+
+
+def _signed(a: IntSet, b: IntSet, sign: str) -> IntSet:
+    """B for A + B or -B for A - B, with every sum of A and it range-checked."""
     if sign == "plus":
         rhs = b
     elif sign == "minus":
         rhs = b.negate()
     else:
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    if not a or not rhs:
-        return RepHistogram({})
-    lo = checked_add(a.min(), rhs.min())
-    hi = checked_add(a.max(), rhs.max())
-    span = hi - lo + 1
-    if method == "auto":
-        method = "dense" if span <= DENSE_SPAN_LIMIT else "sparse"
-    if method == "naive":
-        entries: dict[int, int] = {}
-        for x in a:
-            for y in rhs:
-                s = x + y
-                entries[s] = entries.get(s, 0) + 1
-        hist = RepHistogram(entries)
-    elif method == "sparse":
-        hist = _rep_sparse(a, rhs)
-    elif method == "dense":
-        if span > DENSE_SPAN_LIMIT:
-            raise BudgetExceededError(
-                f"dense counting span {span} exceeds limit {DENSE_SPAN_LIMIT}"
-            )
-        hist = _rep_dense(a, rhs, lo, span)
-    else:
-        raise ValueError(f"unknown rep_function method {method!r}")
-    if hist.total != len(a) * len(rhs):
-        raise RuntimeError(f"representation mass {hist.total} != |A||B| = {len(a) * len(rhs)}")
-    return hist
+    if a and rhs:
+        # Extreme pairs bound every other sum, so checking them checks all.
+        checked_add(a.min(), rhs.min())
+        checked_add(a.max(), rhs.max())
+    return rhs
 
 
-def _rep_dense(a: IntSet, b: IntSet, lo: int, span: int) -> RepHistogram:
-    counts = np.zeros(span, dtype=np.int64)
-    bv = np.asarray(b.elements, dtype=np.int64)
+def _rep_windows(a: IntSet, b: IntSet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """r_{A+B} as sorted (values, counts) arrays, one value window at a time.
+
+    The sum range is cut at values t where C(t) = #{(p, q) : p + q < t} is
+    the largest not above the previous cut's count plus WINDOW_PAIRS, found
+    by binary search on t; a window is wider only when a single value has
+    more representations than that.  Inside a window [t0, t1), row p
+    contributes the slice of B in [t0 - p, t1 - p), whose ends are the
+    per-row counts at t0 and t1.  The slices are gathered, sorted and
+    run-length counted, so memory follows the window, not the sum span.
+    Every sum of A and B must lie in signed 64-bit.
+    """
+    if not a or not b:
+        return
     av = np.asarray(a.elements, dtype=np.int64)
-    block = max(1, (1 << 22) // max(1, len(bv)))
-    for i in range(0, len(av), block):
-        sums = (av[i : i + block, None] + bv[None, :]).ravel() - lo
-        counts += np.bincount(sums, minlength=span)
-    nz = np.flatnonzero(counts)
-    return RepHistogram({int(i) + lo: int(counts[i]) for i in nz})
-
-
-def _rep_sparse(a: IntSet, b: IntSet) -> RepHistogram:
-    # hash accumulator fed by vectorized per-block unique counts
-    entries: dict[int, int] = {}
     bv = np.asarray(b.elements, dtype=np.int64)
-    av = np.asarray(a.elements, dtype=np.int64)
-    block = max(1, (1 << 22) // max(1, len(bv)))
-    for i in range(0, len(av), block):
-        sums = (av[i : i + block, None] + bv[None, :]).ravel()
-        values, counts = np.unique(sums, return_counts=True)
-        for v, c in zip(values.tolist(), counts.tolist()):
-            entries[v] = entries.get(v, 0) + c
-    return RepHistogram(entries)
+    total = len(av) * len(bv)
+    t0, t_end = a.min() + b.min(), a.max() + b.max() + 1
+    left = np.zeros(len(av), dtype=np.int64)
+    mass = 0
+    while t0 < t_end:
+        target = int(left.sum()) + WINDOW_PAIRS
+        if target >= total:
+            t1, right = t_end, np.full(len(av), len(bv), dtype=np.int64)
+        else:
+            # invariant: C(t1) <= target < C(beyond)
+            t1, right, beyond = t0, left, t_end
+            while beyond - t1 > 1:
+                mid = (t1 + beyond) // 2
+                below = _rows_below(av, bv, mid)
+                if below.sum() <= target:
+                    t1, right = mid, below
+                else:
+                    beyond = mid
+            if t1 == t0:
+                t1 = t0 + 1
+                right = _rows_below(av, bv, t1)
+        lengths = right - left
+        rows = np.flatnonzero(lengths)
+        if len(rows):
+            run = lengths[rows]
+            offsets = np.cumsum(run) - run
+            picks = np.repeat(left[rows] - offsets, run)
+            picks += np.arange(len(picks))
+            sums = bv[picks]
+            del picks
+            sums += np.repeat(av[rows], run)
+            sums.sort()
+            starts = np.concatenate(([0], np.flatnonzero(sums[1:] != sums[:-1]) + 1))
+            counts = np.diff(starts, append=len(sums))
+            mass += len(sums)
+            yield sums[starts], counts
+        t0, left = t1, right
+    if mass != total:
+        raise RuntimeError(f"representation mass {mass} != |A||B| = {total}")
+
+
+def _rows_below(av: np.ndarray, bv: np.ndarray, t: int) -> np.ndarray:
+    """Per element p of av (sorted), #{q in bv (sorted) : p + q < t}."""
+    # Rows p < t - max(B) take all of B and rows p >= t - min(B) none; in
+    # between, t - p lies in (min(B), max(B)], so it cannot wrap.
+    full = _count_below(av, t - int(bv[-1]))
+    some = _count_below(av, t - int(bv[0]))
+    out = np.zeros(len(av), dtype=np.int64)
+    out[:full] = len(bv)
+    if full < some:
+        out[full:some] = np.searchsorted(bv, np.int64(t) - av[full:some])
+    return out
+
+
+def _count_below(v: np.ndarray, x: int) -> int:
+    """#{e in v (sorted) : e < x} for any integer x, int64 or not."""
+    if x <= int(v[0]):
+        return 0
+    if x > int(v[-1]):
+        return len(v)
+    return int(np.searchsorted(v, x))
 
 
 # ---------------------------------------------------------------------------
@@ -271,25 +328,41 @@ def _rep_sparse(a: IntSet, b: IntSet) -> RepHistogram:
 # ---------------------------------------------------------------------------
 
 
-def energy(a: IntSet, b: IntSet, method: str = "auto") -> int:
+def energy(a: IntSet, b: IntSet, method: str = "windowed") -> int:
     """Common energy: #{(a1, a2, b1, b2) in A^2 x B^2 : a1 + b1 = a2 + b2},
     computed as the sum of squared representation counts of A + B."""
-    hist = rep_function(a, b, "plus", method=method)
-    total = sum(c * c for c in hist.counts())
-    return check_int128(total, "energy accumulator")
+    return _moment(a, b, "plus", 2, method)
 
 
-def higher_energy(a: IntSet, k: int, method: str = "auto") -> int:
+def higher_energy(a: IntSet, k: int, method: str = "windowed") -> int:
     """k-th moment of the difference representation function,
     sum over x of r_{A-A}(x)^k."""
     if k < 2:
         raise ValueError(f"moment order k must be >= 2, got {k}")
-    hist = rep_function(a, a, "minus", method=method)
+    return _moment(a, a, "minus", k, method)
+
+
+def _moment(a: IntSet, b: IntSet, sign: str, k: int, method: str) -> int:
+    """Sum over x of r_{A+-B}(x)^k under the 128-bit cap; the windowed
+    method folds each window's counts and never builds the histogram."""
+    if method == "windowed":
+        windows = _rep_windows(a, _signed(a, b, sign))
+        parts = (_power_sum(counts, k) for _, counts in windows)
+    else:  # rep_function rejects any method but "naive" here
+        parts = (c**k for c in rep_function(a, b, sign, method=method).counts())
     total = 0
-    for c in hist.counts():
-        total += c**k
-        check_int128(total, "energy accumulator")
+    for part in parts:
+        total = check_int128(total + part, "energy accumulator")
     return total
+
+
+def _power_sum(counts: np.ndarray, k: int) -> int:
+    """Sum of c^k over counts: in int64 when max(c)^k * len(c) < 2^63,
+    otherwise over the distinct counts in Python integers."""
+    if int(counts.max()) ** k * len(counts) < 1 << 63:
+        return int((counts**k).sum())
+    values, mult = np.unique(counts, return_counts=True)
+    return sum(c**k * m for c, m in zip(values.tolist(), mult.tolist()))
 
 
 def shifted_intersection_size(a: IntSet, shifts: Iterable[int]) -> int:
@@ -339,14 +412,15 @@ def mixed_energy(a: IntSet, k: int, l: int, budget: int = DEFAULT_WORK_BUDGET) -
 def energy_report(a: IntSet, k: int = 2, l: int = 2, method: str = "convolution") -> EnergyReport:
     """Evaluate E_{k,l}(A) and package the result with its method tag.
 
-    For l == 2 the convolution method goes through the accelerated
-    representation function (E_{k,2} is the k-th moment); otherwise both
-    methods enumerate shift tuples.
+    For l == 2, E_{k,2} is the k-th moment of r_{A-A}: the "convolution"
+    method folds it from the windowed representation-counting kernel and
+    "naive" from the double-loop oracle.  Otherwise both methods enumerate
+    shift tuples.
     """
     if method not in ("naive", "convolution"):
         raise ValueError(f"method must be 'naive' or 'convolution', got {method!r}")
     if l == 2:
-        value = higher_energy(a, k, method="naive" if method == "naive" else "auto")
+        value = higher_energy(a, k, method="naive" if method == "naive" else "windowed")
     else:
         value = mixed_energy(a, k, l)
     return EnergyReport(k=k, l=l, value=value, method=method)
@@ -404,14 +478,19 @@ def popular_differences(a: IntSet) -> IntSet:
     """
     if len(a) == 0:
         raise ValueError("popular_differences requires a nonempty set")
-    hist = rep_function(a, a, "minus")
-    d_size = len(hist)
-    n2 = len(a) * len(a)
-    return IntSet(s for s, c in hist.items() if 4 * d_size * c >= n2)
+    return _popular(rep_function(a, a, "minus"), len(a))
+
+
+def _popular(diffs: RepHistogram, size: int) -> IntSet:
+    """The popular differences of a set of the given size, from its r_{A-A}."""
+    d_size = len(diffs)
+    n2 = size * size
+    return IntSet(s for s, c in diffs.items() if 4 * d_size * c >= n2)
 
 
 @dataclass(frozen=True)
 class PopularEnergySum:
+    popular: IntSet  # the popular differences P; not part of to_json
     sum: int
     reference: float
     ratio: float
@@ -424,17 +503,20 @@ def popular_energy_sum(a: IntSet, k: int = 3) -> PopularEnergySum:
     """Sum of r_{P-P}(x) over x in A - A, with P the popular differences.
 
     reference is |A|^(2k/(k-1)) for the caller-supplied k; the comparison
-    is report-only (the associated lower bound is conditional).
+    is report-only (the associated lower bound is conditional).  One
+    r_{A-A} gives both A - A (its support) and P.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    d = difference_set(a, a)
-    p = popular_differences(a)
+    if len(a) == 0:
+        raise ValueError("popular_differences requires a nonempty set")
+    diffs = rep_function(a, a, "minus")
+    p = _popular(diffs, len(a))
     hist = rep_function(p, p, "minus")
-    total = sum(hist[x] for x in d)
+    total = sum(hist[x] for x in diffs.support())
     reference = float(len(a)) ** (2 * k / (k - 1))
     ratio = total / reference if reference else 0.0
-    return PopularEnergySum(sum=total, reference=reference, ratio=ratio)
+    return PopularEnergySum(popular=p, sum=total, reference=reference, ratio=ratio)
 
 
 def count_difference_triples(a: IntSet) -> int:

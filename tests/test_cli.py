@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -35,6 +36,22 @@ def test_energy_command(capsys, monkeypatch, tmp_path):
     assert code == 0
     record = rows(out)[-1]
     assert record["value"] == 6
+
+
+@pytest.mark.parametrize("span", [(1 << 26) - 1, (1 << 26) + 1, 1 << 40])
+def test_energy_pair_default_matches_naive(capsys, monkeypatch, tmp_path, span):
+    # A + B covers exactly `span` values: min 0, max span - 1
+    rng = random.Random(span)
+    width_a = span // 3
+    a = {0, width_a, *range(5, 50, 5), *rng.sample(range(width_a), 20)}
+    b = {0, span - 1 - width_a, *range(3, 30, 3), *rng.sample(range(span - width_a), 20)}
+    values = []
+    for extra in ((), ("--method", "naive")):
+        code, out = run_cli(capsys, monkeypatch, tmp_path, "energy", "--set", json.dumps(sorted(a)),
+                            "--b-set", json.dumps(sorted(b)), *extra)
+        assert code == 0
+        values.append(rows(out)[-1]["value"])
+    assert values[0] == values[1] > len(a) * len(b)
 
 
 def test_matching_command(capsys, monkeypatch, tmp_path):

@@ -24,6 +24,7 @@ from addcomb import (
     structure_ratios,
     sumset,
 )
+from addcomb import intset
 from conftest import random_intset
 
 small_sets = st.sets(st.integers(-50, 50), min_size=0, max_size=8).map(IntSet)
@@ -140,10 +141,55 @@ def test_rep_minus_symmetry_and_zero(a):
 def test_rep_methods_agree_with_naive(a, b):
     for sign in ("plus", "minus"):
         expected = naive_rep(a, b, sign)
-        for method in ("dense", "sparse", "naive"):
+        for method in ("windowed", "naive"):
             got = rep_function(a, b, sign, method=method)
             assert dict(got.items()) == dict(sorted(expected.items()))
             assert got.total == len(a) * len(b)
+
+
+def test_rep_function_rejects_unknown_method():
+    for method in ("auto", "dense", "sparse", "convolution"):
+        with pytest.raises(ValueError, match="unknown rep_function method"):
+            rep_function(IntSet([0, 1]), IntSet([2]), method=method)
+        with pytest.raises(ValueError, match="unknown rep_function method"):
+            energy(IntSet([0, 1]), IntSet([2]), method=method)
+
+
+NEAR_2_62 = (1 << 62) - 1
+
+
+def forced_window_cases(rng):
+    """Seeded pairs (A, B) for the windowed kernel: random sets of both
+    signs, empty sets, a value carrying more pairs than any forced window
+    (0 in A - A for an interval), and elements near +-2^62 whose sums and
+    differences come close to the ends of signed 64-bit."""
+    cases = [(IntSet(), IntSet([1, 2])), (IntSet([3]), IntSet()),
+             (IntSet(range(20)), IntSet(range(20))), (IntSet([5]), IntSet([-7]))]
+    for _ in range(12):
+        width = rng.choice([4, 40, 10**6, 1 << 40])
+        cases.append((random_intset(rng, 9, -width, width), random_intset(rng, 9, -width, width)))
+    for _ in range(3):
+        ends = [NEAR_2_62 - rng.randrange(50) for _ in range(3)]
+        ends += [-(NEAR_2_62 - rng.randrange(50)) for _ in range(3)]
+        cases.append((IntSet(ends + [0, rng.randrange(-9, 9)]), IntSet(ends)))
+    return cases
+
+
+@pytest.mark.parametrize("window", [1, 3, 17])
+def test_windowed_kernel_matches_naive_over_many_windows(monkeypatch, window):
+    monkeypatch.setattr(intset, "WINDOW_PAIRS", window)
+    for a, b in forced_window_cases(random.Random(3000 + window)):
+        for sign in ("plus", "minus"):
+            assert rep_function(a, b, sign) == rep_function(a, b, sign, method="naive")
+        assert energy(a, b) == energy(a, b, method="naive")
+        assert higher_energy(a, 3) == higher_energy(a, 3, method="naive")
+
+
+def test_higher_energy_past_int64():
+    # r_{A-A}(x) = 2000 - |x| for an interval, and 2000^6 > 2^63
+    expected = sum((2000 - abs(x)) ** 6 for x in range(-1999, 2000))
+    assert expected > 1 << 63
+    assert higher_energy(IntSet(range(2000)), 6) == expected
 
 
 # ---------------------------------------------------------------------------
