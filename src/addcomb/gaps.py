@@ -8,8 +8,10 @@ are first-class citizens so the boundary can be detected.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .checked import check_int64, checked_add
@@ -277,31 +279,37 @@ class MobiusCheck:
         return {"direct": self.direct, "transformed": self.transformed, "equal": self.equal}
 
 
-def mobius_identity_check(index_set: IntSet, gap: Gap, l: int) -> MobiusCheck:
-    """Gcd-class count versus its Mobius-transformed divisor sum.
+def mobius_identity_check(index_set: IntSet, gap: Gap, l_values: Sequence[int]) -> list[MobiusCheck]:
+    """Gcd-class counts versus their Mobius-transformed divisor sums, one
+    check per class index l in l_values.
 
-    direct counts pairs with gcd exactly l; transformed evaluates
-    sum_t mu(t) |I_{lt}| |H''_{lt}| with X_m the multiples of m in X.  The
-    two sides agree exactly on every input (Mobius inversion).
+    direct counts pairs with gcd exactly l, read from one stratification;
+    transformed evaluates sum_t mu(t) |I_{lt}| |H''_{lt}| with X_m the
+    multiples of m in X, over the value set enumerated on its own, so it
+    never reads the gcd classes.  The two sides agree exactly on every
+    input (Mobius inversion).
     """
-    if l < 1:
-        raise ValueError(f"class index must be >= 1, got {l}")
+    for l in l_values:
+        if l < 1:
+            raise ValueError(f"class index must be >= 1, got {l}")
+    if not l_values:
+        return []
     strat = stratify(index_set, gap)
-    direct = strat.classes.get(l, 0)
     values = enumerate_gap(gcd_normalize(gap).primed)
     top = index_set.max()
-    transformed = 0
-    t = 1
-    while l * t <= top:
-        mu = mobius(t)
-        if mu:
-            m = l * t
-            i_count = sum(1 for i in index_set if i % m == 0)
-            if i_count:
-                h_count = sum(1 for h in values if h % m == 0)
-                transformed += mu * i_count * h_count
-        t += 1
-    return MobiusCheck(direct=direct, transformed=transformed, equal=direct == transformed)
+
+    @functools.cache
+    def multiples(m: int) -> int:
+        """|I_m| |H''_m|, shared by every l dividing m."""
+        i_count = sum(1 for i in index_set if i % m == 0)
+        return i_count * sum(1 for h in values if h % m == 0) if i_count else 0
+
+    checks = []
+    for l in l_values:
+        direct = strat.classes.get(l, 0)
+        transformed = sum(mobius(t) * multiples(l * t) for t in range(1, top // l + 1))
+        checks.append(MobiusCheck(direct=direct, transformed=transformed, equal=direct == transformed))
+    return checks
 
 
 def shrink(gap: Gap, inverse_eps: int) -> Gap:

@@ -146,7 +146,6 @@ class ScanRecord:
     pmax: int
     rmax: int
     bound_ratio: float
-    timestamp: float | None = None
 
     def to_json(self) -> dict:
         return {
@@ -157,7 +156,6 @@ class ScanRecord:
             "witness": {"p": self.witness_p, "r": self.witness_r},
             "search_bounds": {"pmax": self.pmax, "rmax": self.rmax},
             "bound_ratio": self.bound_ratio,
-            "timestamp": self.timestamp,
         }
 
     @classmethod
@@ -171,7 +169,6 @@ class ScanRecord:
             pmax=data["search_bounds"]["pmax"],
             rmax=data["search_bounds"]["rmax"],
             bound_ratio=data["bound_ratio"],
-            timestamp=data.get("timestamp"),
         )
 
 
@@ -269,7 +266,6 @@ def qk_oracle(
     resume: ScanFrontier | None = None,
     checkpoint: Callable[[ScanFrontier], None] | None = None,
     checkpoint_every: int = CHECKPOINT_EVERY,
-    timestamp: float | None = None,
 ) -> ScanRecord:
     """Exhaustive maximum of count_in_ap over 0 <= p <= pmax, 1 <= r <= rmax.
 
@@ -316,7 +312,6 @@ def qk_oracle(
         pmax=pmax,
         rmax=rmax,
         bound_ratio=trend_ratio(best_count, n, k),
-        timestamp=timestamp,
     )
 
 

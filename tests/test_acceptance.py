@@ -106,8 +106,10 @@ def test_criterion_3_mobius_identity():
                     break
             gap = Gap(base=rng.randint(-20, 20), steps=steps, lengths=lengths)
             i_set = IntSet(rng.sample(range(1, 60), rng.randint(1, 30)))
-            for l in range(1, 13):
-                assert mobius_identity_check(i_set, gap, l).equal, (i_set, gap, l)
+            checks = mobius_identity_check(i_set, gap, list(range(1, 13)))
+            assert len(checks) == 12
+            for l, check in zip(range(1, 13), checks):
+                assert check.equal, (i_set, gap, l)
 
 
 # ---------------------------------------------------------------------------

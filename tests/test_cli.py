@@ -1,9 +1,13 @@
+import hashlib
 import json
+import math
 import random
 
 import pytest
 
-from addcomb.cli import main
+from addcomb import gaps
+from addcomb.cli import COMMANDS, build_parser, main
+from addcomb.intset import IntSet
 from addcomb.records import RecordStore
 
 
@@ -96,6 +100,33 @@ def test_determinism_same_bytes(capsys, monkeypatch, tmp_path):
     assert all(r["equal"] for r in rows(first) if r["type"] == "mobius_check")
 
 
+def test_mobius_check_stratifies_once(capsys, monkeypatch, tmp_path):
+    i_set = list(range(1, 61))
+    gap = {"base": 3, "steps": [6, 35], "lengths": [40, 42]}
+    calls = []
+    original = gaps.stratify
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gaps, "stratify", counted)
+    code, out = run_cli(capsys, monkeypatch, tmp_path, "mobius-check", "--i-set", json.dumps(i_set),
+                        "--gap", json.dumps(gap), "--l-max", "12")
+    assert code == 0
+    assert len(calls) == 1
+    checks = [r for r in rows(out) if r["type"] == "mobius_check"]
+    assert [r["l"] for r in checks] == list(range(1, 13))
+    # each l checked on its own gives the same row
+    values = gaps.enumerate_gap(gaps.gcd_normalize(gaps.Gap.from_json(gap)).primed)
+    for row in checks:
+        (alone,) = gaps.mobius_identity_check(IntSet(i_set), gaps.Gap.from_json(gap), [row["l"]])
+        assert {k: row[k] for k in ("direct", "transformed", "equal")} == alone.to_json()
+        assert row["equal"]
+        assert row["direct"] == sum(1 for i in i_set for h in values if math.gcd(i, h) == row["l"])
+    assert len(calls) == 13
+
+
 def test_csv_projection(capsys, monkeypatch, tmp_path):
     code, out = run_cli(capsys, monkeypatch, tmp_path,
                         "--format", "csv", "energy", "--set", "[0,1]")
@@ -115,6 +146,27 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
                       "scan-ap", "--k", "2", "--p", "9223372036854775000",
                       "--r", "1000", "--n", "10")
     assert code == 4
+
+
+def test_exit_codes_malformed_json(capsys, monkeypatch, tmp_path):
+    # a JSON argument of the wrong shape is a usage error, not a traceback
+    code, out = run_cli(capsys, monkeypatch, tmp_path, "scan-gap", "--k", "2", "--gap", "[1,2]")
+    assert code == 2 and out == ""
+    code, out = run_cli(capsys, monkeypatch, tmp_path,
+                        "curve-points", "--curve", "[2]", "--height", "5")
+    assert code == 2 and out == ""
+    # so is a stored checkpoint of the wrong shape under --resume
+    key = json.dumps({"k": 2, "n": 3, "pmax": 5, "rmax": 5}, sort_keys=True, separators=(",", ":"))
+    RecordStore(tmp_path / "bad.jsonl").append({"type": "checkpoint", "config_key": key, "frontier": {"r": 1}})
+    code, _ = run_cli(capsys, monkeypatch, tmp_path, "qk", "--k", "2", "--n", "3", "--pmax", "5",
+                      "--rmax", "5", "--resume", store_name="bad.jsonl")
+    assert code == 2
+    # a stored record that cannot be decoded fails verify
+    RecordStore(tmp_path / "store.jsonl").append({"type": "qk", "k": 2})
+    code, out = run_cli(capsys, monkeypatch, tmp_path, "verify")
+    assert code == 1
+    assert [(r["record_type"], r["ok"]) for r in rows(out) if r["type"] == "verify"] == [("qk", False)]
+    assert not rows(out)[-1]["all_ok"]
 
 
 def test_usage_error_unknown_command(capsys, monkeypatch, tmp_path):
@@ -231,6 +283,12 @@ def test_timestamps_flag(capsys, monkeypatch, tmp_path):
     assert code == 0
     record = [r for r in rows(out) if r["type"] == "ap_count"][-1]
     assert isinstance(record["timestamp"], float)
+    code, out = run_cli(capsys, monkeypatch, tmp_path,
+                        "--timestamps", "qk", "--k", "2", "--n", "3", "--pmax", "20", "--rmax", "30")
+    assert code == 0
+    record = rows(out)[-1]
+    stored = RecordStore(tmp_path / "store.jsonl").read_all()[-1]
+    assert isinstance(record["timestamp"], float) and stored["timestamp"] == record["timestamp"]
 
 
 def test_probe_quadruples_command(capsys, monkeypatch, tmp_path):
@@ -253,3 +311,70 @@ def test_scan_gap_command(capsys, monkeypatch, tmp_path):
     assert rows(out)[-1]["count"] == 5
     code, out = run_cli(capsys, monkeypatch, tmp_path, "verify")
     assert code == 0
+
+
+# One small fixed run of every subcommand, in order, against one store.
+# Digests are SHA-256 of stdout, and of the store after the last run.
+GOLDEN_RUNS = (
+    ("energy", ("energy", "--set", "[0,1,3,7]")),
+    ("energy-pair", ("energy", "--set", "[0,2,5]", "--b-set", "[1,4]", "--method", "naive")),
+    ("energy-powers", ("energy", "--powers", "2", "--n-list", "30,100")),
+    ("mixed-energy", ("mixed-energy", "--set", "[0,1,4]", "--k", "2", "--l", "3")),
+    ("pluennecke", ("pluennecke", "--set", "[0,1,5]", "--n", "2", "--m", "1")),
+    ("scan-ap", ("scan-ap", "--k", "2", "--p", "1", "--r", "24", "--n", "8")),
+    ("scan-gap", ("scan-gap", "--k", "2", "--gap", '{"base":1,"steps":[24,5040],"lengths":[8,4]}')),
+    ("qk", ("qk", "--k", "2", "--n", "3", "--pmax", "30", "--rmax", "30", "--checkpoint-every", "200")),
+    ("qk-resume", ("qk", "--k", "2", "--n", "3", "--pmax", "30", "--rmax", "30", "--resume")),
+    ("curve-points", ("curve-points", "--curve", '{"k":2,"coeffs":[15,0,1]}', "--height", "20",
+                      "--mode", "rational")),
+    ("probe-quadruples", ("probe-quadruples", "--alpha-min", "-3", "--alpha-max", "3", "--height", "15")),
+    ("probe-quadruples-csv", ("--format", "csv", "probe-quadruples", "--alpha-min", "-3",
+                              "--alpha-max", "3", "--height", "15")),
+    ("clique", ("clique", "--height", "50", "--size", "3")),
+    ("incidence", ("incidence", "--a-set", "[1,4,9]", "--c-set", "[1,2]", "--points", "[[1,0],[2,1]]",
+                   "--squares-b")),
+    ("matching", ("matching", "--pairs", "[[1,2],[3,4],[2,5]]")),
+    ("extremal", ("--seed", "3", "extremal", "--n", "3", "--box", "4", "--iterations", "50")),
+    ("mobius-check", ("mobius-check", "--i-set", "[1,2,3,4,5,6]",
+                      "--gap", '{"base":1,"steps":[2],"lengths":[9]}')),
+    ("inclusion-check", ("inclusion-check", "--set", "[0,1,3]", "--z", "[1,2]", "--d", "2", "--l", "3")),
+    ("popular", ("popular", "--set", "[0,1,3,4]", "--k", "2")),
+    ("verify", ("verify",)),
+)
+
+# pinned; a change to any byte of the output or the store fails the test
+GOLDEN_DIGESTS = {
+    "energy": "654b4cc7f055bbffb0c212305a53f304a390a58638e7427dbde7088678d76e16",
+    "energy-pair": "eb8d7cbe61231a234cc1dd5fcba45cc1762890506890ad5c2aafc5b513303a7f",
+    "energy-powers": "d02638efc103bebcab13fa5acbdb72f51ff90959747c684d4d8840ee21ce0027",
+    "mixed-energy": "b78e79e4811d320d4d5b019a38b550e5df06770aedce31f11de15ef4da722001",
+    "pluennecke": "1be25addaf04244f80e7619364e7ad245d4dd58ad3bbc2a2734bfe0e1d8b5e59",
+    "scan-ap": "74f9d33eabc00e5dcbe9990362c9bd63cf06f6924f0236fbf0bf819310249ffb",
+    "scan-gap": "1e0f6adfa53aef1b18f0bf1bb9bd131b141f0343b758fc6ac5f392d20b1298e4",
+    "qk": "fcaef0052c66c72b6752ad43c456c0dde995a528632a4c4e301d7e3d402be988",
+    "qk-resume": "fcaef0052c66c72b6752ad43c456c0dde995a528632a4c4e301d7e3d402be988",
+    "curve-points": "d21c5ebc2ce4d381f2c966a84fd38ef6ac9fa18be9895de867277ad4b3551268",
+    "probe-quadruples": "b5d44a979a65da5e22df9e40c4a596433f31ac39687bf0d36853556ce8211dd8",
+    "probe-quadruples-csv": "ba546eb672c14067b29a02a17336107217b147c214b0630e8e57eb547566e5d8",
+    "clique": "c0ab7c61df4703f6ed88898a12c2431db4117794d155441a4f8be4c835731acd",
+    "incidence": "8f16571061fd6f940f1bf93169e3460f57bc7a4b50cee39a939a5937ce81e047",
+    "matching": "97fac69c7f4fe9de5178fc601892814ba7aceaf34ba2a0c3e5bbd987829fab3e",
+    "extremal": "c0ca2677cf760ae83535002bd5cbc360879db36085558c39b12b1d89a5519435",
+    "mobius-check": "e858c6664c9d1f4cbd5bd1762d09cea3fe6789d41ed01a544bb7aced12602576",
+    "inclusion-check": "983a08db5bc08c341e0a023f593b60dd06a4a9f600db79f4fa31cd111d6f55ac",
+    "popular": "6007ebf05dee0105952fa088812cc157b1828cf57cdd81c1cf271f586effb477",
+    "verify": "8a705e1db549b550a6695e8fd669014a308ce47016d020f1c2d1fd76efa8691f",
+    "store": "94fdcfb89f66f58cf7d22511a8302b03d365f05965d5f79c6c507a2c16b99a27",
+}
+
+
+def test_golden_output_every_command(capsys, monkeypatch, tmp_path):
+    parser = build_parser()
+    assert {parser.parse_args(argv).command for _, argv in GOLDEN_RUNS} == set(COMMANDS)
+    digests = {}
+    for name, argv in GOLDEN_RUNS:
+        code, out = run_cli(capsys, monkeypatch, tmp_path, *argv)
+        assert code == 0, name
+        digests[name] = hashlib.sha256(out.encode()).hexdigest()
+    digests["store"] = hashlib.sha256((tmp_path / "store.jsonl").read_bytes()).hexdigest()
+    assert digests == GOLDEN_DIGESTS

@@ -178,7 +178,7 @@ def test_mobius_values():
 def test_mobius_identity_example():
     i_set = IntSet(range(1, 11))
     gap = Gap(1, (1,), (10,))
-    check = mobius_identity_check(i_set, gap, 1)
+    (check,) = mobius_identity_check(i_set, gap, [1])
     coprime_pairs = sum(
         1 for i in range(1, 11) for j in range(1, 11) if math.gcd(i, j) == 1
     )
@@ -187,7 +187,7 @@ def test_mobius_identity_example():
 
 
 def test_mobius_identity_large_l_is_zero():
-    check = mobius_identity_check(IntSet([1, 2, 3]), Gap(0, (1,), (5,)), 100)
+    (check,) = mobius_identity_check(IntSet([1, 2, 3]), Gap(0, (1,), (5,)), [100])
     assert check.direct == check.transformed == 0 and check.equal
 
 
@@ -196,11 +196,12 @@ def test_mobius_identity_random():
     for _ in range(15):
         g = random_gap(rng, max_dim=2, max_box=80)
         i_set = IntSet(rng.sample(range(1, 30), rng.randint(1, 8)))
-        for l in range(1, 13):
-            check = mobius_identity_check(i_set, g, l)
+        values = enumerate_gap(gcd_normalize(g).primed)
+        checks = mobius_identity_check(i_set, g, list(range(1, 13)))
+        assert len(checks) == 12
+        for l, check in zip(range(1, 13), checks):
             assert check.equal, (i_set, g, l)
             # brute-force the direct side independently
-            values = enumerate_gap(gcd_normalize(g).primed)
             brute = sum(
                 1 for i in i_set for h in values if math.gcd(i, h) == l
             )
