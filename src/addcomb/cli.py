@@ -27,14 +27,10 @@ from .intset import (
     pluennecke_check,
     popular_energy_sum,
 )
-from .records import RecordStore
+from .records import RecordStore, dumps
 
 DEFAULT_STORE = "addcomb-records.jsonl"
 STORE_ENV_VAR = "ADDCOMB_RECORDS"
-
-
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _flatten(obj, prefix: str = "") -> dict:
@@ -45,7 +41,7 @@ def _flatten(obj, prefix: str = "") -> dict:
         return flat
     key = prefix.rstrip(".")
     if isinstance(obj, (list, tuple)):
-        flat[key] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        flat[key] = dumps(obj)
     else:
         flat[key] = obj
     return flat
@@ -68,7 +64,7 @@ class Reporter:
 
     def _write_row(self, row: dict) -> None:
         if self.fmt == "jsonl":
-            self.out.write(_dumps(row) + "\n")
+            self.out.write(dumps(row) + "\n")
         else:
             self.rows.append(_flatten(row))
 
@@ -271,7 +267,7 @@ def _qk(args):
     params = {"k": args.k, "n": args.n, "pmax": args.pmax, "rmax": args.rmax}
     yield params
     store = _store(args)
-    config_key = _dumps(params)
+    config_key = dumps(params)
     checkpoint = store.last_checkpoint(config_key) if args.resume else None
     resume = _decode(lambda c: powers.ScanFrontier.from_json(c["frontier"]), checkpoint) if checkpoint else None
     yield powers.qk_oracle(
@@ -370,7 +366,12 @@ _REPLAYS = {
 def _verify(args):
     yield {}
     all_ok = True
-    for index, record in enumerate(_store(args).read_all()):
+    try:
+        records = _store(args).read_all()
+    except ValueError as exc:  # a store that cannot be read verifies nothing
+        print(f"verify failed: {exc}", file=sys.stderr)
+        records, all_ok = [], False
+    for index, record in enumerate(records):
         kind = record.get("type")
         if kind not in _REPLAYS:
             continue

@@ -1,9 +1,11 @@
 """Append-only JSON-lines record store for scan results.
 
-Every line carries a schema_version.  A corrupt trailing line (an
-interrupted write) is tolerated: reads stop at the last good line and the
-next append truncates the tail before continuing.  Corruption anywhere
-else is an error.
+Framing rule: a record is one newline-terminated line holding a JSON
+object, and every record carries a schema_version.  Bytes after the last
+newline are an interrupted write: reads ignore them and the next append
+truncates them.  A complete line that is not a JSON object is corruption,
+and reading the store raises.  Append reads no existing record, so its
+cost does not grow with the store.
 """
 
 from __future__ import annotations
@@ -15,54 +17,47 @@ from pathlib import Path
 SCHEMA_VERSION = 1
 
 
+def dumps(obj) -> str:
+    """Canonical JSON: sorted keys and no spaces, so equal values give equal bytes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 class RecordStore:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
 
-    def _scan(self) -> tuple[list[dict], int]:
-        """All good records plus the byte offset where they end."""
-        if not self.path.exists():
-            return [], 0
-        raw = self.path.read_bytes()
-        records: list[dict] = []
-        good_end = 0
-        pos = 0
-        while pos < len(raw):
-            nl = raw.find(b"\n", pos)
-            next_pos = len(raw) if nl == -1 else nl + 1
-            stripped = raw[pos : next_pos if nl == -1 else nl].strip()
-            if stripped:
-                try:
-                    parsed = json.loads(stripped)
-                    if not isinstance(parsed, dict):
-                        raise json.JSONDecodeError("not an object", "", 0)
-                except json.JSONDecodeError:
-                    if raw[next_pos:].strip():
-                        raise ValueError(
-                            f"corrupt record mid-file in {self.path} at byte {pos}"
-                        ) from None
-                    return records, good_end  # tolerated trailing corruption
-                records.append(parsed)
-                good_end = next_pos
-            else:
-                good_end = next_pos
-            pos = next_pos
-        return records, good_end
-
     def read_all(self) -> list[dict]:
-        return self._scan()[0]
+        if not self.path.exists():
+            return []
+        records: list[dict] = []
+        pos = 0
+        with open(self.path, "rb") as fh:
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    break  # an interrupted write
+                if line.strip():
+                    try:
+                        record = json.loads(line)
+                    except ValueError:
+                        record = None
+                    if not isinstance(record, dict):
+                        raise ValueError(f"corrupt record mid-file in {self.path} at byte {pos}")
+                    records.append(record)
+                pos += len(line)
+        return records
 
     def append(self, record: dict) -> None:
-        _, good_end = self._scan()
         payload = dict(record)
         payload.setdefault("schema_version", SCHEMA_VERSION)
-        line = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        if self.path.exists() and self.path.stat().st_size > good_end:
-            with open(self.path, "r+b") as fh:
-                fh.truncate(good_end)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "ab") as fh:
-            fh.write(line.encode())
+        with open(self.path, "a+b") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            if size:
+                fh.seek(size - 1)
+                if fh.read(1) != b"\n":  # an interrupted write: drop it
+                    fh.seek(0)
+                    fh.truncate(fh.read().rfind(b"\n") + 1)
+            fh.write(dumps(payload).encode() + b"\n")
             fh.flush()
             os.fsync(fh.fileno())
 

@@ -167,6 +167,15 @@ def test_exit_codes_malformed_json(capsys, monkeypatch, tmp_path):
     assert code == 1
     assert [(r["record_type"], r["ok"]) for r in rows(out) if r["type"] == "verify"] == [("qk", False)]
     assert not rows(out)[-1]["all_ok"]
+    # so does a store with a line that is not JSON, while qk --resume on it is a usage error
+    (tmp_path / "corrupt.jsonl").write_text('{"type":"qk","k":2}\nnot json\n')
+    code, out = run_cli(capsys, monkeypatch, tmp_path, "verify", store_name="corrupt.jsonl")
+    assert code == 1
+    assert [r["type"] for r in rows(out)] == ["header", "verify_summary"]
+    assert not rows(out)[-1]["all_ok"]
+    code, _ = run_cli(capsys, monkeypatch, tmp_path, "qk", "--k", "2", "--n", "3", "--pmax", "5",
+                      "--rmax", "5", "--resume", store_name="corrupt.jsonl")
+    assert code == 2
 
 
 def test_usage_error_unknown_command(capsys, monkeypatch, tmp_path):

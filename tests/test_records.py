@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from addcomb import RecordStore
+from addcomb import RecordStore, records
 
 
 def test_append_and_read(tmp_path):
@@ -28,11 +28,45 @@ def test_corrupt_trailing_line_tolerated(tmp_path):
     assert all(json.loads(line) for line in lines)
 
 
+def test_interrupted_write_is_not_glued_to_next_record(tmp_path):
+    path = tmp_path / "records.jsonl"
+    store = RecordStore(path)
+    store.append({"type": "qk", "value": 1})
+    with open(path, "ab") as fh:
+        fh.write(b'{"type":"qk","value":2}')  # complete JSON, cut off before its newline
+    store.append({"type": "qk", "value": 3})
+    assert [r["value"] for r in store.read_all()] == [1, 3]
+    lines = path.read_bytes().decode().split("\n")
+    assert lines[-1] == ""
+    assert all(isinstance(json.loads(line), dict) for line in lines[:-1])
+
+
 def test_corrupt_mid_file_raises(tmp_path):
     path = tmp_path / "records.jsonl"
-    path.write_text('{"a": 1}\nnot json\n{"b": 2}\n')
-    with pytest.raises(ValueError, match="corrupt record mid-file"):
-        RecordStore(path).read_all()
+    # a complete line that is not JSON is corrupt, even as the last line
+    for text in ('{"a": 1}\nnot json\n{"b": 2}\n', '{"a": 1}\nnot json\n'):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="corrupt record mid-file .* at byte 9"):
+            RecordStore(path).read_all()
+
+
+def test_append_reads_no_existing_record(tmp_path, monkeypatch):
+    store = RecordStore(tmp_path / "records.jsonl")
+    for value in range(200):
+        store.append({"type": "qk", "value": value})
+    calls = []
+    loads = records.json.loads
+
+    def counting_loads(*args, **kwargs):
+        calls.append(1)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(records.json, "loads", counting_loads)
+    for value in range(200, 250):
+        store.append({"type": "qk", "value": value})
+    assert calls == []
+    assert [r["value"] for r in store.read_all()] == list(range(250))
+    assert len(calls) == 250
 
 
 def test_trailing_scalar_treated_as_corrupt(tmp_path):
