@@ -5,6 +5,11 @@ seed, budgets), so identical invocations produce byte-identical
 output; timestamps are off unless requested.  Exit codes: 0 ok, 1 failed
 verify, 2 usage (malformed arguments), 3 budget exceeded, 4 integer range
 violation.
+
+Each subcommand's flags are declared as data in its ``COMMANDS`` entry,
+beside its handler and help line.  ``parse_args`` reads the global flags
+and the subcommand name first, then builds the parser of that one
+subcommand only; ``addcomb -h`` lists the subcommands from the same table.
 """
 
 from __future__ import annotations
@@ -94,103 +99,6 @@ def _decode(decode, data):
         return decode(data)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed JSON value {data!r}: {exc!r}") from None
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="addcomb",
-        description="exact workbench for sumset energies, progressions, power scans and sum-product graphs",
-    )
-    parser.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    parser.add_argument("--record-store", default=None, help="record store path (also env ADDCOMB_RECORDS)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized commands (default 0)")
-    parser.add_argument("--timestamps", action="store_true", help="stamp scan records with wall time")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("energy", help="additive energy of a set, or power-set trend rows")
-    p.add_argument("--set", dest="set_json")
-    p.add_argument("--b-set", dest="b_set_json")
-    p.add_argument("--method", choices=("naive", "convolution"), default="convolution")
-    p.add_argument("--powers", type=int, help="power order k for trend rows")
-    p.add_argument("--n-list", help="comma-separated range bounds for trend rows")
-
-    p = sub.add_parser("mixed-energy", help="mixed moment E_{k,l}")
-    p.add_argument("--set", dest="set_json", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-
-    p = sub.add_parser("pluennecke", help="iterated sumset growth check")
-    p.add_argument("--set", dest="set_json", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = sub.add_parser("scan-ap", help="count k-th powers in one progression")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("scan-gap", help="count k-th powers in a generalized progression")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--gap", required=True)
-
-    p = sub.add_parser("qk", help="exhaustive best k-th-power count over a (p, r) box")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--rmax", type=int, required=True)
-    p.add_argument("--resume", action="store_true", help="resume from the last matching checkpoint")
-    p.add_argument("--checkpoint-every", type=int, default=powers.CHECKPOINT_EVERY)
-
-    p = sub.add_parser("curve-points", help="bounded-height point search")
-    p.add_argument("--curve", required=True, help='JSON {"k": ..., "coeffs": [...]}')
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--mode", choices=("integer", "rational"), default="integer")
-
-    p = sub.add_parser("probe-quadruples", help="integer-point census for shift triples")
-    p.add_argument("--alpha-min", type=int, required=True)
-    p.add_argument("--alpha-max", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
-
-    p = sub.add_parser("clique", help="distinct integers with all pairwise sums square")
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--max-results", type=int, default=None)
-
-    p = sub.add_parser("incidence", help="solutions of a = b*c + d over a point set")
-    p.add_argument("--a-set", required=True)
-    p.add_argument("--c-set", required=True)
-    p.add_argument("--points", required=True, help="JSON array of [b, d] pairs")
-    p.add_argument("--squares-b", action="store_true")
-
-    p = sub.add_parser("matching", help="sums, products and the product-sum graph")
-    p.add_argument("--pairs", required=True, help="JSON array of [a, b] pairs")
-
-    p = sub.add_parser("extremal", help="matching minimizing |P| + |S|")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--box", type=int, default=5)
-    p.add_argument("--iterations", type=int, default=2000)
-    p.add_argument("--mode", choices=("auto", "exhaustive", "local"), default="auto")
-
-    p = sub.add_parser("mobius-check", help="gcd class counts versus Mobius-transformed sums")
-    p.add_argument("--i-set", required=True)
-    p.add_argument("--gap", required=True)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--l-max", type=int, default=12)
-
-    p = sub.add_parser("inclusion-check", help="dilates of Z inside 2A - 2A")
-    p.add_argument("--set", dest="set_json", required=True)
-    p.add_argument("--z", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-
-    p = sub.add_parser("popular", help="popular differences and their difference energy")
-    p.add_argument("--set", dest="set_json", required=True)
-    p.add_argument("--k", type=int, default=3)
-
-    sub.add_parser("verify", help="replay every stored record from its witness")
-
-    return parser
 
 
 def _store(args) -> RecordStore:
@@ -384,31 +292,110 @@ def _verify(args):
     yield {"type": "verify_summary", "all_ok": all_ok}
 
 
-# subcommand -> (handler, whether its result rows go to the record store)
+# subcommand -> (handler, whether its result rows go to the record store,
+# help line, its flags as (flag, add_argument keywords) pairs)
 COMMANDS = {
-    "energy": (_energy, False),
-    "mixed-energy": (_mixed_energy, False),
-    "pluennecke": (_pluennecke, False),
-    "scan-ap": (_scan_ap, True),
-    "scan-gap": (_scan_gap, True),
-    "qk": (_qk, True),
-    "curve-points": (_curve_points, False),
-    "probe-quadruples": (_probe_quadruples, False),
-    "clique": (_clique, False),
-    "incidence": (_incidence, False),
-    "matching": (_matching, False),
-    "extremal": (_extremal, False),
-    "mobius-check": (_mobius_check, False),
-    "inclusion-check": (_inclusion_check, False),
-    "popular": (_popular, False),
-    "verify": (_verify, False),
+    "energy": (_energy, False, "additive energy of a set, or power-set trend rows", (
+        ("--set", {"dest": "set_json"}),
+        ("--b-set", {"dest": "b_set_json"}),
+        ("--method", {"choices": ("naive", "convolution"), "default": "convolution"}),
+        ("--powers", {"type": int, "help": "power order k for trend rows"}),
+        ("--n-list", {"help": "comma-separated range bounds for trend rows"}))),
+    "mixed-energy": (_mixed_energy, False, "mixed moment E_{k,l}", (
+        ("--set", {"dest": "set_json", "required": True}),
+        ("--k", {"type": int, "required": True}),
+        ("--l", {"type": int, "required": True}))),
+    "pluennecke": (_pluennecke, False, "iterated sumset growth check", (
+        ("--set", {"dest": "set_json", "required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--m", {"type": int, "required": True}))),
+    "scan-ap": (_scan_ap, True, "count k-th powers in one progression", (
+        ("--k", {"type": int, "required": True}),
+        ("--p", {"type": int, "required": True}),
+        ("--r", {"type": int, "required": True}),
+        ("--n", {"type": int, "required": True}))),
+    "scan-gap": (_scan_gap, True, "count k-th powers in a generalized progression", (
+        ("--k", {"type": int, "required": True}),
+        ("--gap", {"required": True}))),
+    "qk": (_qk, True, "exhaustive best k-th-power count over a (p, r) box", (
+        ("--k", {"type": int, "required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--pmax", {"type": int, "required": True}),
+        ("--rmax", {"type": int, "required": True}),
+        ("--resume", {"action": "store_true", "help": "resume from the last matching checkpoint"}),
+        ("--checkpoint-every", {"type": int, "default": powers.CHECKPOINT_EVERY}))),
+    "curve-points": (_curve_points, False, "bounded-height point search", (
+        ("--curve", {"required": True, "help": 'JSON {"k": ..., "coeffs": [...]}'}),
+        ("--height", {"type": int, "required": True}),
+        ("--mode", {"choices": ("integer", "rational"), "default": "integer"}))),
+    "probe-quadruples": (_probe_quadruples, False, "integer-point census for shift triples", (
+        ("--alpha-min", {"type": int, "required": True}),
+        ("--alpha-max", {"type": int, "required": True}),
+        ("--height", {"type": int, "required": True}))),
+    "clique": (_clique, False, "distinct integers with all pairwise sums square", (
+        ("--height", {"type": int, "required": True}),
+        ("--size", {"type": int, "required": True}),
+        ("--max-results", {"type": int, "default": None}))),
+    "incidence": (_incidence, False, "solutions of a = b*c + d over a point set", (
+        ("--a-set", {"required": True}),
+        ("--c-set", {"required": True}),
+        ("--points", {"required": True, "help": "JSON array of [b, d] pairs"}),
+        ("--squares-b", {"action": "store_true"}))),
+    "matching": (_matching, False, "sums, products and the product-sum graph", (
+        ("--pairs", {"required": True, "help": "JSON array of [a, b] pairs"}),)),
+    "extremal": (_extremal, False, "matching minimizing |P| + |S|", (
+        ("--n", {"type": int, "required": True}),
+        ("--box", {"type": int, "default": 5}),
+        ("--iterations", {"type": int, "default": 2000}),
+        ("--mode", {"choices": ("auto", "exhaustive", "local"), "default": "auto"}))),
+    "mobius-check": (_mobius_check, False, "gcd class counts versus Mobius-transformed sums", (
+        ("--i-set", {"required": True}),
+        ("--gap", {"required": True}),
+        ("--l", {"type": int, "default": None}),
+        ("--l-max", {"type": int, "default": 12}))),
+    "inclusion-check": (_inclusion_check, False, "dilates of Z inside 2A - 2A", (
+        ("--set", {"dest": "set_json", "required": True}),
+        ("--z", {"required": True}),
+        ("--d", {"type": int, "required": True}),
+        ("--l", {"type": int, "required": True}))),
+    "popular": (_popular, False, "popular differences and their difference energy", (
+        ("--set", {"dest": "set_json", "required": True}),
+        ("--k", {"type": int, "default": 3}))),
+    "verify": (_verify, False, "replay every stored record from its witness", ()),
 }
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse the global flags and the subcommand name, then build the parser
+    of that one subcommand from its COMMANDS entry and parse its flags into
+    the same namespace."""
+    parser = argparse.ArgumentParser(
+        prog="addcomb",
+        description="exact workbench for sumset energies, progressions, power scans and sum-product graphs",
+        epilog="commands:\n"
+        + "".join(f"  {name:<18}{help_line}\n" for name, (_, _, help_line, _) in COMMANDS.items())
+        + "\nGlobal flags go before the command.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    parser.add_argument("--record-store", default=None, help="record store path (also env ADDCOMB_RECORDS)")
+    parser.add_argument("--seed", type=int, default=0, help="seed for randomized commands (default 0)")
+    parser.add_argument("--timestamps", action="store_true", help="stamp scan records with wall time")
+    parser.add_argument("command", choices=COMMANDS, metavar="command", help="one of the commands below")
+    parser.add_argument("command_args", nargs=argparse.REMAINDER, metavar="flags",
+                        help="the command's flags; addcomb <command> -h lists them")
+    args = parser.parse_args(argv)
+    command = argparse.ArgumentParser(prog=f"addcomb {args.command}")
+    _, _, _, flags = COMMANDS[args.command]
+    for flag, kwargs in flags:
+        command.add_argument(flag, **kwargs)
+    return command.parse_args(args.command_args, namespace=args)
 
 
 def run(args) -> int:
     """Write the header, then every result row of the command; a row with
     all_ok false (a failed verify) makes the exit code 1."""
-    handler, stored = COMMANDS[args.command]
+    handler, stored, _, _ = COMMANDS[args.command]
     # a handler is a generator: it parses its inputs and yields the run's
     # params, then computes its result rows as they are read
     rows = handler(args)
@@ -429,8 +416,7 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         return run(args)
     except BudgetExceededError as exc:

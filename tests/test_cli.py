@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -6,7 +7,7 @@ import random
 import pytest
 
 from addcomb import gaps
-from addcomb.cli import COMMANDS, build_parser, main
+from addcomb.cli import COMMANDS, main, parse_args
 from addcomb.intset import IntSet
 from addcomb.records import RecordStore
 
@@ -182,6 +183,74 @@ def test_usage_error_unknown_command(capsys, monkeypatch, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, monkeypatch, tmp_path, "frobnicate")
     assert exc.value.code == 2
+
+
+# subcommand -> its help line, as `addcomb -h` prints it
+HELP_LINES = {
+    "energy": "additive energy of a set, or power-set trend rows",
+    "mixed-energy": "mixed moment E_{k,l}",
+    "pluennecke": "iterated sumset growth check",
+    "scan-ap": "count k-th powers in one progression",
+    "scan-gap": "count k-th powers in a generalized progression",
+    "qk": "exhaustive best k-th-power count over a (p, r) box",
+    "curve-points": "bounded-height point search",
+    "probe-quadruples": "integer-point census for shift triples",
+    "clique": "distinct integers with all pairwise sums square",
+    "incidence": "solutions of a = b*c + d over a point set",
+    "matching": "sums, products and the product-sum graph",
+    "extremal": "matching minimizing |P| + |S|",
+    "mobius-check": "gcd class counts versus Mobius-transformed sums",
+    "inclusion-check": "dilates of Z inside 2A - 2A",
+    "popular": "popular differences and their difference energy",
+    "verify": "replay every stored record from its witness",
+}
+
+QK = ("qk", "--k", "2", "--n", "3", "--pmax", "5", "--rmax", "5")
+
+# argv -> (exit code, texts that must each appear in one line of stdout)
+USAGE_CASES = (
+    (("-h",), 0, tuple(f"{name} {help_line}" for name, help_line in HELP_LINES.items())),
+    (("qk", "-h"), 0, ("--checkpoint-every", "--resume")),
+    ((), 2, ()),
+    (("frobnicate",), 2, ()),
+    (("scan-ap", "--k", "2", "--p", "1", "--r", "2"), 2, ()),  # --n is required
+    (("scan-ap", "--k", "x", "--p", "1", "--r", "2", "--n", "3"), 2, ()),
+    (("energy", "--set", "[0,1]", "--method", "fft"), 2, ()),
+    ((*QK, "--seed", "3"), 2, ()),  # global flags go before the subcommand
+    ((*QK, "--bogus"), 2, ()),
+    (("--rec", "flagged.jsonl", *QK), 0, ('"command":"qk"',)),  # an abbreviated global flag
+)
+
+
+@pytest.mark.parametrize("argv, code, shown", USAGE_CASES)
+def test_usage_contract(capsys, monkeypatch, tmp_path, argv, code, shown):
+    assert set(HELP_LINES) == set(COMMANDS)
+    monkeypatch.setenv("COLUMNS", "200")
+    monkeypatch.setenv("ADDCOMB_RECORDS", str(tmp_path / "store.jsonl"))
+    monkeypatch.chdir(tmp_path)
+    try:
+        exit_code = main(list(argv))
+    except SystemExit as exc:
+        exit_code = exc.code
+    assert exit_code == code
+    lines = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
+    for text in shown:
+        assert any(text in line for line in lines), text
+    assert (tmp_path / "flagged.jsonl").exists() == ("--rec" in argv)
+
+
+def test_main_builds_only_the_chosen_parser(capsys, monkeypatch, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, _ = run_cli(capsys, monkeypatch, tmp_path, "scan-ap", "--k", "2", "--p", "1", "--r", "24", "--n", "8")
+    assert code == 0
+    assert len(built) <= 2, built
 
 
 def test_record_store_flag_overrides_env(capsys, monkeypatch, tmp_path):
@@ -378,8 +447,7 @@ GOLDEN_DIGESTS = {
 
 
 def test_golden_output_every_command(capsys, monkeypatch, tmp_path):
-    parser = build_parser()
-    assert {parser.parse_args(argv).command for _, argv in GOLDEN_RUNS} == set(COMMANDS)
+    assert {parse_args(argv).command for _, argv in GOLDEN_RUNS} == set(COMMANDS)
     digests = {}
     for name, argv in GOLDEN_RUNS:
         code, out = run_cli(capsys, monkeypatch, tmp_path, *argv)
