@@ -29,7 +29,6 @@ from .gaps import (
 )
 from .incidence import PointSet2D, bound_report, count_solutions, tau
 from .intset import (
-    EnergyReport,
     IntSet,
     RepHistogram,
     count_difference_triples,

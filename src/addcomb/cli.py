@@ -27,7 +27,7 @@ from .errors import BudgetExceededError
 from .intset import (
     IntSet,
     energy,
-    energy_report,
+    higher_energy,
     mixed_energy,
     pluennecke_check,
     popular_energy_sum,
@@ -136,12 +136,11 @@ def _energy(args):
         raise ValueError("energy needs --set or --powers/--n-list")
     a = _decode(_int_set, json.loads(args.set_json))
     b = _decode(_int_set, json.loads(args.b_set_json)) if args.b_set_json else None
-    yield {"set": a.to_json(), "b_set": args.b_set_json, "method": args.method}
+    yield {"set": a.to_json(), "b_set": b.to_json() if b is not None else None}
     if b is None:
-        yield {"type": "energy", **energy_report(a, 2, 2, args.method).to_json()}
+        yield {"type": "energy", "k": 2, "l": 2, "value": higher_energy(a, 2)}
     else:
-        value = energy(a, b, method="naive" if args.method == "naive" else "windowed")
-        yield {"type": "energy", "value": value, "method": args.method}
+        yield {"type": "energy", "value": energy(a, b)}
 
 
 def _mixed_energy(args):
@@ -298,7 +297,6 @@ COMMANDS = {
     "energy": (_energy, False, "additive energy of a set, or power-set trend rows", (
         ("--set", {"dest": "set_json"}),
         ("--b-set", {"dest": "b_set_json"}),
-        ("--method", {"choices": ("naive", "convolution"), "default": "convolution"}),
         ("--powers", {"type": int, "help": "power order k for trend rows"}),
         ("--n-list", {"help": "comma-separated range bounds for trend rows"}))),
     "mixed-energy": (_mixed_energy, False, "mixed moment E_{k,l}", (

@@ -134,27 +134,12 @@ def gcd_normalize(gap: Gap) -> GapNormalization:
     return GapNormalization(gcd=g, primed=primed)
 
 
-def residue_count(gap: Gap, l: int, method: str = "fast", budget: int = DEFAULT_ENUM_BUDGET) -> int:
-    """#{index tuples x : base + sum step_j x_j == 0 mod l}.
-
-    "fast" runs a residue-class dynamic program over the dimensions
-    (O(d*l^2), independent of the box size); "direct" walks the whole
-    index box and is budget-guarded.  Both agree exactly on every input.
-    """
+def residue_count(gap: Gap, l: int) -> int:
+    """#{index tuples x : base + sum step_j x_j == 0 mod l}, by a
+    residue-class dynamic program over the dimensions (O(d*l^2),
+    independent of the box size)."""
     if l < 1:
         raise ValueError(f"modulus must be >= 1, got {l}")
-    if method == "direct":
-        size = gap.index_box_size()
-        if size > budget:
-            raise BudgetExceededError(f"index box size {size} exceeds budget {budget}")
-        count = 0
-        for idx in itertools.product(*(range(n) for n in gap.lengths)):
-            value = gap.base + sum(s * x for s, x in zip(gap.steps, idx))
-            if value % l == 0:
-                count += 1
-        return count
-    if method != "fast":
-        raise ValueError(f"unknown residue_count method {method!r}")
     ways = [0] * l
     ways[gap.base % l] = 1
     for step, length in zip(gap.steps, gap.lengths):
@@ -204,7 +189,7 @@ def residue_error_report(gap: Gap, l: int) -> ResidueErrorReport:
     )
 
 
-def ring_solution_count(gap: Gap, l: int, method: str = "multiplicative") -> int:
+def ring_solution_count(gap: Gap, l: int) -> int:
     """Solutions of base + sum step_j x_j == 0 mod l with every x_j ranging
     over the full residue ring Z/l.
 
@@ -214,16 +199,6 @@ def ring_solution_count(gap: Gap, l: int, method: str = "multiplicative") -> int
     if l < 1:
         raise ValueError(f"modulus must be >= 1, got {l}")
     d = gap.dimension
-    if method == "direct":
-        if l**d > DEFAULT_ENUM_BUDGET:
-            raise BudgetExceededError(f"l^d = {l}^{d} too large for direct ring count")
-        return sum(
-            1
-            for idx in itertools.product(range(l), repeat=d)
-            if (gap.base + sum(s * x for s, x in zip(gap.steps, idx))) % l == 0
-        )
-    if method != "multiplicative":
-        raise ValueError(f"unknown ring_solution_count method {method!r}")
     total = 1
     for p, e in _factorize(l):
         m = p**e

@@ -61,12 +61,9 @@ def tau(points: PointSet2D) -> int:
     return max(groups.values(), default=0)
 
 
-def count_solutions(a: IntSet, c: IntSet, points: PointSet2D, method: str = "fast") -> int:
-    """sigma = #{(a, c, (b, d)) : a = b*c + d}.
-
-    "fast" hashes A and walks C x L; "naive" is the triple loop.  Both
-    agree exactly on every input.
-    """
+def count_solutions(a: IntSet, c: IntSet, points: PointSet2D) -> int:
+    """sigma = #{(a, c, (b, d)) : a = b*c + d}, by hashing A and walking
+    C x L."""
     if not a or not c or not len(points):
         return 0
     # corner products bound every b*c, so checking them checks all
@@ -75,16 +72,6 @@ def count_solutions(a: IntSet, c: IntSet, points: PointSet2D, method: str = "fas
     dabs = max(abs(d) for _, d in points)
     checked_add(checked_mul(babs, cabs), dabs)
     checked_add(-checked_mul(babs, cabs), -dabs)
-    if method == "naive":
-        return sum(
-            1
-            for x in a
-            for v in c.elements
-            for b, d in points
-            if x == b * v + d
-        )
-    if method != "fast":
-        raise ValueError(f"unknown count_solutions method {method!r}")
     members = a.as_set()
     sigma = 0
     for v in c:

@@ -10,8 +10,8 @@ Representation counts come from one kernel, ``_rep_windows``: it cuts the
 sum range into value windows of about WINDOW_PAIRS pair sums each and counts
 each window by sorting, so memory follows the window rather than the sum
 span.  The energies fold their moments window by window without building
-a histogram.  ``method="naive"`` selects a plain double loop, kept as the
-oracle the kernel is tested against.
+a histogram.  The tests hold the plain double-loop oracle the kernel is
+checked against.
 """
 
 from __future__ import annotations
@@ -148,20 +148,6 @@ class RepHistogram:
         return {str(v): c for v, c in sorted(self._entries.items())}
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    """One energy evaluation: which moment orders, the exact value, and the
-    computation path that produced it (value is identical across paths)."""
-
-    k: int
-    l: int
-    value: int
-    method: str  # "convolution" (windowed kernel) or "naive" (double-loop oracle)
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "l": self.l, "value": self.value, "method": self.method}
-
-
 # ---------------------------------------------------------------------------
 # sumsets
 # ---------------------------------------------------------------------------
@@ -205,24 +191,13 @@ def signed_sumset(a: IntSet, n: int, m: int) -> IntSet:
 # ---------------------------------------------------------------------------
 
 
-def rep_function(a: IntSet, b: IntSet, sign: str = "plus", method: str = "windowed") -> RepHistogram:
-    """Histogram of x -> #{(p, q) in A x B : p +- q = x}.
-
-    method "windowed" counts with the value-windowed kernel (``_rep_windows``),
-    "naive" with a plain double loop; the two agree exactly.
-    """
-    if method not in ("windowed", "naive"):
-        raise ValueError(f"unknown rep_function method {method!r}")
+def rep_function(a: IntSet, b: IntSet, sign: str = "plus") -> RepHistogram:
+    """Histogram of x -> #{(p, q) in A x B : p +- q = x}, counted by the
+    value-windowed kernel ``_rep_windows``."""
     rhs = _signed(a, b, sign)
     entries: dict[int, int] = {}
-    if method == "naive":
-        for x in a:
-            for y in rhs:
-                s = x + y
-                entries[s] = entries.get(s, 0) + 1
-    else:
-        for values, counts in _rep_windows(a, rhs):
-            entries.update(zip(values.tolist(), counts.tolist()))
+    for values, counts in _rep_windows(a, rhs):
+        entries.update(zip(values.tolist(), counts.tolist()))
     hist = RepHistogram(entries)
     if hist.total != len(a) * len(rhs):
         raise RuntimeError(f"representation mass {hist.total} != |A||B| = {len(a) * len(rhs)}")
@@ -328,31 +303,26 @@ def _count_below(v: np.ndarray, x: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def energy(a: IntSet, b: IntSet, method: str = "windowed") -> int:
+def energy(a: IntSet, b: IntSet) -> int:
     """Common energy: #{(a1, a2, b1, b2) in A^2 x B^2 : a1 + b1 = a2 + b2},
     computed as the sum of squared representation counts of A + B."""
-    return _moment(a, b, "plus", 2, method)
+    return _moment(a, b, "plus", 2)
 
 
-def higher_energy(a: IntSet, k: int, method: str = "windowed") -> int:
+def higher_energy(a: IntSet, k: int) -> int:
     """k-th moment of the difference representation function,
     sum over x of r_{A-A}(x)^k."""
     if k < 2:
         raise ValueError(f"moment order k must be >= 2, got {k}")
-    return _moment(a, a, "minus", k, method)
+    return _moment(a, a, "minus", k)
 
 
-def _moment(a: IntSet, b: IntSet, sign: str, k: int, method: str) -> int:
-    """Sum over x of r_{A+-B}(x)^k under the 128-bit cap; the windowed
-    method folds each window's counts and never builds the histogram."""
-    if method == "windowed":
-        windows = _rep_windows(a, _signed(a, b, sign))
-        parts = (_power_sum(counts, k) for _, counts in windows)
-    else:  # rep_function rejects any method but "naive" here
-        parts = (c**k for c in rep_function(a, b, sign, method=method).counts())
+def _moment(a: IntSet, b: IntSet, sign: str, k: int) -> int:
+    """Sum over x of r_{A+-B}(x)^k under the 128-bit cap, folded window by
+    window without building the histogram."""
     total = 0
-    for part in parts:
-        total = check_int128(total + part, "energy accumulator")
+    for _, counts in _rep_windows(a, _signed(a, b, sign)):
+        total = check_int128(total + _power_sum(counts, k), "energy accumulator")
     return total
 
 
@@ -407,23 +377,6 @@ def mixed_energy(a: IntSet, k: int, l: int, budget: int = DEFAULT_WORK_BUDGET) -
         total += c**l
         check_int128(total, "energy accumulator")
     return total
-
-
-def energy_report(a: IntSet, k: int = 2, l: int = 2, method: str = "convolution") -> EnergyReport:
-    """Evaluate E_{k,l}(A) and package the result with its method tag.
-
-    For l == 2, E_{k,2} is the k-th moment of r_{A-A}: the "convolution"
-    method folds it from the windowed representation-counting kernel and
-    "naive" from the double-loop oracle.  Otherwise both methods enumerate
-    shift tuples.
-    """
-    if method not in ("naive", "convolution"):
-        raise ValueError(f"method must be 'naive' or 'convolution', got {method!r}")
-    if l == 2:
-        value = higher_energy(a, k, method="naive" if method == "naive" else "windowed")
-    else:
-        value = mixed_energy(a, k, l)
-    return EnergyReport(k=k, l=l, value=value, method=method)
 
 
 # ---------------------------------------------------------------------------

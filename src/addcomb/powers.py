@@ -82,29 +82,15 @@ def kth_powers_in(lo: int, hi: int, k: int) -> IntSet:
         raise ValueError(f"power order must be >= 2, got {k}")
     check_int64(lo, "range endpoint")
     check_int64(hi, "range endpoint")
+    # even powers are nonnegative; m becomes the smallest root with m^k >= start
+    start = max(lo, 0) if k % 2 == 0 else lo
+    m = kth_root_floor(start, k) if start >= 0 else -kth_root_floor(-start, k)
+    if m**k < start:
+        m += 1
     powers = []
-    if k % 2 == 0:
-        if hi >= 0:
-            start = max(lo, 0)
-            m = kth_root_floor(start, k)
-            if m**k < start:
-                m += 1
-            while m**k <= hi:
-                powers.append(m**k)
-                m += 1
-    else:
-        # smallest m with m^k >= lo
-        if lo >= 0:
-            m = kth_root_floor(lo, k)
-            if m**k < lo:
-                m += 1
-        else:
-            m = -kth_root_floor(-lo, k)
-            if m**k < lo:
-                m += 1
-        while m**k <= hi:
-            powers.append(m**k)
-            m += 1
+    while m**k <= hi:
+        powers.append(m**k)
+        m += 1
     return IntSet(powers)
 
 

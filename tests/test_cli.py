@@ -10,6 +10,7 @@ from addcomb import gaps
 from addcomb.cli import COMMANDS, main, parse_args
 from addcomb.intset import IntSet
 from addcomb.records import RecordStore
+from conftest import naive_rep
 
 
 def run_cli(capsys, monkeypatch, tmp_path, *argv, store_name="store.jsonl"):
@@ -50,13 +51,20 @@ def test_energy_pair_default_matches_naive(capsys, monkeypatch, tmp_path, span):
     width_a = span // 3
     a = {0, width_a, *range(5, 50, 5), *rng.sample(range(width_a), 20)}
     b = {0, span - 1 - width_a, *range(3, 30, 3), *rng.sample(range(span - width_a), 20)}
-    values = []
-    for extra in ((), ("--method", "naive")):
-        code, out = run_cli(capsys, monkeypatch, tmp_path, "energy", "--set", json.dumps(sorted(a)),
-                            "--b-set", json.dumps(sorted(b)), *extra)
-        assert code == 0
-        values.append(rows(out)[-1]["value"])
-    assert values[0] == values[1] > len(a) * len(b)
+    code, out = run_cli(capsys, monkeypatch, tmp_path, "energy", "--set", json.dumps(sorted(a)),
+                        "--b-set", json.dumps(sorted(b)))
+    assert code == 0
+    expected = sum(c**2 for c in naive_rep(a, b, "plus").values())
+    assert rows(out)[-1]["value"] == expected > len(a) * len(b)
+
+
+def test_energy_records_sets_canonically(capsys, monkeypatch, tmp_path):
+    outs = [run_cli(capsys, monkeypatch, tmp_path, "energy", "--set", a, "--b-set", b)
+            for a, b in (("[1,0]", "[4, 1]"), ("[0,1]", "[1,4]"))]
+    assert outs[0] == outs[1]
+    assert rows(outs[0][1])[0]["config"]["params"] == {"set": [0, 1], "b_set": [1, 4]}
+    _, out = run_cli(capsys, monkeypatch, tmp_path, "energy", "--set", "[1,0]")
+    assert rows(out)[0]["config"]["params"] == {"set": [0, 1], "b_set": None}
 
 
 def test_matching_command(capsys, monkeypatch, tmp_path):
@@ -219,6 +227,8 @@ USAGE_CASES = (
     ((*QK, "--seed", "3"), 2, ()),  # global flags go before the subcommand
     ((*QK, "--bogus"), 2, ()),
     (("--rec", "flagged.jsonl", *QK), 0, ('"command":"qk"',)),  # an abbreviated global flag
+    (("energy", "--set", "[0,1]", "--method", "naive"), 2, ()),  # the flag is gone
+    (("curve-points", "--curve", '{"k":2,"coeffs":[15,0,1]}', "--height", "3", "--mode", "fft"), 2, ()),
 )
 
 
@@ -395,7 +405,7 @@ def test_scan_gap_command(capsys, monkeypatch, tmp_path):
 # Digests are SHA-256 of stdout, and of the store after the last run.
 GOLDEN_RUNS = (
     ("energy", ("energy", "--set", "[0,1,3,7]")),
-    ("energy-pair", ("energy", "--set", "[0,2,5]", "--b-set", "[1,4]", "--method", "naive")),
+    ("energy-pair", ("energy", "--set", "[0,2,5]", "--b-set", "[1,4]")),
     ("energy-powers", ("energy", "--powers", "2", "--n-list", "30,100")),
     ("mixed-energy", ("mixed-energy", "--set", "[0,1,4]", "--k", "2", "--l", "3")),
     ("pluennecke", ("pluennecke", "--set", "[0,1,5]", "--n", "2", "--m", "1")),
@@ -422,8 +432,8 @@ GOLDEN_RUNS = (
 
 # pinned; a change to any byte of the output or the store fails the test
 GOLDEN_DIGESTS = {
-    "energy": "654b4cc7f055bbffb0c212305a53f304a390a58638e7427dbde7088678d76e16",
-    "energy-pair": "eb8d7cbe61231a234cc1dd5fcba45cc1762890506890ad5c2aafc5b513303a7f",
+    "energy": "7500dc1b04e970a04a97ea19462683bef3bdaeda3150e5ecf6f54b229aa0b5fc",
+    "energy-pair": "e83a47367a3052ab54fd6ffb412d296dcde95fdc4573f15ecb9491944921e98d",
     "energy-powers": "d02638efc103bebcab13fa5acbdb72f51ff90959747c684d4d8840ee21ce0027",
     "mixed-energy": "b78e79e4811d320d4d5b019a38b550e5df06770aedce31f11de15ef4da722001",
     "pluennecke": "1be25addaf04244f80e7619364e7ad245d4dd58ad3bbc2a2734bfe0e1d8b5e59",

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from addcomb import IntSet, bound_report, count_solutions, tau
 from addcomb.incidence import PointSet2D
-from conftest import random_intset
+from conftest import naive_count_solutions, random_intset
 
 
 def random_points(rng: random.Random, max_size: int, bound: int) -> PointSet2D:
@@ -64,7 +64,7 @@ def test_count_solutions_fast_equals_naive_random():
         a = random_intset(rng, 50, -60, 60)
         c = random_intset(rng, 50, -20, 20)
         points = random_points(rng, 50, 15)
-        assert count_solutions(a, c, points) == count_solutions(a, c, points, method="naive")
+        assert count_solutions(a, c, points) == naive_count_solutions(a, c, points)
 
 
 def test_sigma_additive_over_partition():

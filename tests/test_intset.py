@@ -25,7 +25,7 @@ from addcomb import (
     sumset,
 )
 from addcomb import intset
-from conftest import random_intset
+from conftest import naive_rep, random_intset
 
 small_sets = st.sets(st.integers(-50, 50), min_size=0, max_size=8).map(IntSet)
 nonempty_sets = st.sets(st.integers(-50, 50), min_size=1, max_size=8).map(IntSet)
@@ -34,15 +34,6 @@ nonempty_sets = st.sets(st.integers(-50, 50), min_size=1, max_size=8).map(IntSet
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
-
-
-def naive_rep(a, b, sign):
-    out = {}
-    for x in a:
-        for y in b:
-            v = x + y if sign == "plus" else x - y
-            out[v] = out.get(v, 0) + 1
-    return out
 
 
 def naive_energy(a, b):
@@ -140,19 +131,9 @@ def test_rep_minus_symmetry_and_zero(a):
 @settings(max_examples=60, deadline=None)
 def test_rep_methods_agree_with_naive(a, b):
     for sign in ("plus", "minus"):
-        expected = naive_rep(a, b, sign)
-        for method in ("windowed", "naive"):
-            got = rep_function(a, b, sign, method=method)
-            assert dict(got.items()) == dict(sorted(expected.items()))
-            assert got.total == len(a) * len(b)
-
-
-def test_rep_function_rejects_unknown_method():
-    for method in ("auto", "dense", "sparse", "convolution"):
-        with pytest.raises(ValueError, match="unknown rep_function method"):
-            rep_function(IntSet([0, 1]), IntSet([2]), method=method)
-        with pytest.raises(ValueError, match="unknown rep_function method"):
-            energy(IntSet([0, 1]), IntSet([2]), method=method)
+        got = rep_function(a, b, sign)
+        assert dict(got.items()) == naive_rep(a, b, sign)
+        assert got.total == len(a) * len(b)
 
 
 NEAR_2_62 = (1 << 62) - 1
@@ -180,9 +161,9 @@ def test_windowed_kernel_matches_naive_over_many_windows(monkeypatch, window):
     monkeypatch.setattr(intset, "WINDOW_PAIRS", window)
     for a, b in forced_window_cases(random.Random(3000 + window)):
         for sign in ("plus", "minus"):
-            assert rep_function(a, b, sign) == rep_function(a, b, sign, method="naive")
-        assert energy(a, b) == energy(a, b, method="naive")
-        assert higher_energy(a, 3) == higher_energy(a, 3, method="naive")
+            assert dict(rep_function(a, b, sign).items()) == naive_rep(a, b, sign)
+        assert energy(a, b) == sum(c**2 for c in naive_rep(a, b, "plus").values())
+        assert higher_energy(a, 3) == sum(c**3 for c in naive_rep(a, a, "minus").values())
 
 
 def test_higher_energy_past_int64():
@@ -383,20 +364,6 @@ def test_fourth_moment_splits_into_distinct_and_cross_terms():
             if 0 in key or len(set(key)) != 3
         )
         assert higher_energy(a, 4) == distinct_nonzero + cross
-
-
-def test_energy_report_value_independent_of_method():
-    from addcomb import EnergyReport
-    from addcomb.intset import energy_report
-
-    rng = random.Random(37)
-    for _ in range(10):
-        a = random_intset(rng, 8, -40, 40)
-        naive = energy_report(a, 3, 2, "naive")
-        conv = energy_report(a, 3, 2, "convolution")
-        assert isinstance(naive, EnergyReport)
-        assert naive.value == conv.value
-        assert (naive.method, conv.method) == ("naive", "convolution")
 
 
 def test_structure_ratios():

@@ -46,9 +46,21 @@ def test_kth_powers_in_examples():
 
 
 def test_kth_powers_in_brute_force():
-    for lo, hi, k in [(-50, 50, 3), (0, 300, 2), (-100, -1, 5), (17, 23, 2)]:
+    rng = random.Random(48)
+    cases = [(-50, 50, 3), (0, 300, 2), (-100, -1, 5), (17, 23, 2)]
+    for _ in range(200):
+        scale = rng.choice([10, 10**4, 10**9])
+        lo = rng.randint(-scale, scale)
+        cases.append((lo, lo + rng.randint(0, 3000), rng.randint(2, 7)))
+    cases += [(v, v, k) for v in (-27, -8, -1, 0, 1, 16, 17, 64) for k in range(2, 8)]
+    cases += [(-100, -1, 2), (-5000, -4, 4), (-1, -1, 6)]  # even k, hi < 0
+    cases += [(-100, 50, 2), (-700, 300, 4)]  # even k, lo < 0 <= hi
+    for lo, hi, k in cases:
         expected = IntSet(v for v in range(lo, hi + 1) if is_kth_power(v, k))
-        assert kth_powers_in(lo, hi, k) == expected
+        assert kth_powers_in(lo, hi, k) == expected, (lo, hi, k)
+    # -2^63 = (-2^21)^3, and the next cube up lies beyond -2^63 + 10^6
+    assert (-(1 << 21)) ** 3 == -(1 << 63) and -((1 << 21) - 1) ** 3 > -(1 << 63) + 10**6
+    assert kth_powers_in(-(1 << 63), -(1 << 63) + 10**6, 3) == IntSet([-(1 << 63)])
 
 
 # ---------------------------------------------------------------------------
