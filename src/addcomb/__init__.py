@@ -30,7 +30,6 @@ from .gaps import (
 from .incidence import PointSet2D, bound_report, count_solutions, tau
 from .intset import (
     IntSet,
-    RepHistogram,
     count_difference_triples,
     difference_set,
     energy,

@@ -16,6 +16,14 @@ INT128_MIN = -(1 << 127)
 INT128_MAX = (1 << 127) - 1
 
 
+def check_int(value: object, context: str = "value") -> int:
+    """value itself when it is an int; a bool or any other type (a float
+    from JSON, say) is a ValueError, never truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{context} {value!r} is not an integer")
+    return value
+
+
 def check_int64(value: int, context: str = "value") -> int:
     if value < INT64_MIN or value > INT64_MAX:
         raise IntegerOverflowError(f"{context} {value} outside signed 64-bit range")

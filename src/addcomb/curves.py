@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .checked import INT128_MAX, checked_add
+from .checked import INT128_MAX, check_int, checked_add
 from .errors import BudgetExceededError, IntegerOverflowError, UnsupportedCurveError
 from .intset import IntSet
 from .powers import is_kth_power, kth_power_root
@@ -100,8 +100,10 @@ class CurveSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if self.k < 2:
+        if check_int(self.k, "curve exponent") < 2:
             raise ValueError(f"exponent must be >= 2, got {self.k}")
+        for c in self.coeffs:
+            check_int(c, "curve coefficient")
         if len(self.coeffs) < 2:
             raise ValueError("polynomial must have degree >= 1")
         if self.coeffs[-1] == 0:

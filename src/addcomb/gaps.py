@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .checked import check_int64, checked_add
+from .checked import check_int, check_int64, checked_add
 from .errors import BudgetExceededError
 from .intset import IntSet
 
@@ -35,13 +35,13 @@ class Gap:
         object.__setattr__(self, "lengths", tuple(self.lengths))
         if len(self.steps) != len(self.lengths) or not self.steps:
             raise ValueError("steps and lengths must be equal-length and nonempty")
-        check_int64(self.base, "gap base")
+        check_int64(check_int(self.base, "gap base"), "gap base")
         for s in self.steps:
-            if s == 0:
+            if check_int(s, "gap step") == 0:
                 raise ValueError("gap steps must be nonzero")
             check_int64(s, "gap step")
         for length in self.lengths:
-            if length < 1:
+            if check_int(length, "gap length") < 1:
                 raise ValueError("gap lengths must be >= 1")
         # coordinatewise extremes are reachable values and bound all others
         lo = self.base + sum(min(0, s * (n - 1)) for s, n in zip(self.steps, self.lengths))
@@ -325,45 +325,27 @@ def fix_fiber(gap: Gap, assignments: dict[int, int]) -> Gap:
 
 
 # ---------------------------------------------------------------------------
-# Mobius function with a cached prime sieve
+# Mobius function by trial division
 # ---------------------------------------------------------------------------
-
-_PRIMES: list[int] = [2, 3, 5, 7, 11, 13]
-_SIEVE_LIMIT = 13
-
-
-def _extend_primes(limit: int) -> None:
-    global _PRIMES, _SIEVE_LIMIT
-    if limit <= _SIEVE_LIMIT:
-        return
-    limit = max(limit, 2 * _SIEVE_LIMIT)
-    sieve = bytearray(b"\x01") * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * ((limit - p * p) // p + 1)
-    _PRIMES = [i for i, flag in enumerate(sieve) if flag]
-    _SIEVE_LIMIT = limit
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
-    """Trial-division factorization using the cached sieve."""
+    """(prime, exponent) pairs of n >= 1, primes increasing, by trial
+    division by 2 and the odd numbers."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
-    _extend_primes(math.isqrt(n) + 1)
     factors = []
-    rest = n
-    for p in _PRIMES:
-        if p * p > rest:
+    for p in itertools.chain((2,), itertools.count(3, 2)):
+        if p * p > n:
             break
-        if rest % p == 0:
+        if n % p == 0:
             e = 0
-            while rest % p == 0:
-                rest //= p
+            while n % p == 0:
+                n //= p
                 e += 1
             factors.append((p, e))
-    if rest > 1:
-        factors.append((rest, 1))
+    if n > 1:
+        factors.append((n, 1))
     return factors
 
 

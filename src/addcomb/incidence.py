@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .checked import checked_add, checked_mul
+from .checked import check_int, checked_add, checked_mul
 from .intset import IntSet
 
 
@@ -23,7 +23,7 @@ class PointSet2D:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple((int(b), int(d)) for b, d in self.pairs)
+        pairs = tuple((check_int(b, "point coordinate"), check_int(d, "point coordinate")) for b, d in self.pairs)
         if len(set(pairs)) != len(pairs):
             raise ValueError("point set pairs must be pairwise distinct")
         object.__setattr__(self, "pairs", pairs)

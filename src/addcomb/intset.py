@@ -1,17 +1,17 @@
 """Exact set arithmetic, representation functions and energy functionals.
 
 Everything here is pure and exact: sets are immutable sorted tuples of
-signed 64-bit integers, histograms map values to positive counts, energies
-are plain integers accumulated under a 128-bit cap.  Threshold comparisons
-(popular differences) are done by integer cross-multiplication, never with
-floats.
+signed 64-bit integers, a representation function r_{A+-B} is a pair of
+arrays (values strictly increasing, counts positive), energies are plain
+integers accumulated under a 128-bit cap.  Threshold comparisons (popular
+differences) are done in integers, never with floats.
 
-Representation counts come from one kernel, ``_rep_windows``: it cuts the
-sum range into value windows of about WINDOW_PAIRS pair sums each and counts
-each window by sorting, so memory follows the window rather than the sum
-span.  The energies fold their moments window by window without building
-a histogram.  The tests hold the plain double-loop oracle the kernel is
-checked against.
+Representation counts, and the sumsets as their values, come from one
+kernel, ``_rep_windows``: it cuts the sum range into value windows of
+about WINDOW_PAIRS pair sums each and counts each window by sorting, so
+memory follows the window rather than the sum span.  The energies fold
+their moments window by window without joining the windows.  The tests
+hold the plain double-loop oracle the kernel is checked against.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .checked import (
+    check_int,
     check_int64,
     check_int128,
     checked_add,
@@ -51,14 +52,13 @@ class IntSet:
     __slots__ = ("_elements", "_members")
 
     def __init__(self, elements: Iterable[int] = ()) -> None:
-        members = set()
-        for x in elements:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f"IntSet element {x!r} is not an integer")
-            check_int64(x, "set element")
-            members.add(x)
+        members = {check_int(x, "IntSet element") for x in elements}
         self._elements: tuple[int, ...] = tuple(sorted(members))
         self._members: frozenset[int] = frozenset(members)
+        if self._elements:
+            # the extreme elements bound every other, so checking them checks all
+            check_int64(self._elements[0], "set element")
+            check_int64(self._elements[-1], "set element")
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -108,60 +108,15 @@ class IntSet:
         return cls(data)
 
 
-class RepHistogram:
-    """Mapping value -> positive count, with the total mass alongside.
-
-    Carries representation counts r_{A+B} and r_{A-B}; a full convolution
-    of A and B always has total |A|*|B|.
-    """
-
-    __slots__ = ("_entries", "total")
-
-    def __init__(self, entries: dict[int, int]) -> None:
-        for v, c in entries.items():
-            if c <= 0:
-                raise ValueError(f"zero or negative count for value {v}")
-        self._entries = dict(entries)
-        self.total = sum(entries.values())
-
-    def __getitem__(self, value: int) -> int:
-        return self._entries.get(value, 0)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RepHistogram):
-            return self._entries == other._entries
-        return NotImplemented
-
-    def items(self) -> Iterable[tuple[int, int]]:
-        return sorted(self._entries.items())
-
-    def counts(self) -> Iterable[int]:
-        return self._entries.values()
-
-    def support(self) -> IntSet:
-        return IntSet(self._entries)
-
-    def to_json(self) -> dict[str, int]:
-        return {str(v): c for v, c in sorted(self._entries.items())}
-
-
 # ---------------------------------------------------------------------------
 # sumsets
 # ---------------------------------------------------------------------------
 
 
 def sumset(a: IntSet, b: IntSet) -> IntSet:
-    """A + B = {x + y : x in A, y in B}, deduplicated and sorted."""
-    if not a or not b:
-        return IntSet()
-    # Extreme pairs bound every other sum, so checking them checks all.
-    checked_add(a.min(), b.min())
-    checked_add(a.max(), b.max())
-    ae = a.elements
-    return IntSet({x + y for x in ae for y in b.elements})
+    """A + B = {x + y : x in A, y in B}: the values of r_{A+B}."""
+    values, _ = rep_function(a, b)
+    return IntSet(values.tolist())
 
 
 def difference_set(a: IntSet, b: IntSet) -> IntSet:
@@ -191,17 +146,15 @@ def signed_sumset(a: IntSet, n: int, m: int) -> IntSet:
 # ---------------------------------------------------------------------------
 
 
-def rep_function(a: IntSet, b: IntSet, sign: str = "plus") -> RepHistogram:
-    """Histogram of x -> #{(p, q) in A x B : p +- q = x}, counted by the
-    value-windowed kernel ``_rep_windows``."""
-    rhs = _signed(a, b, sign)
-    entries: dict[int, int] = {}
-    for values, counts in _rep_windows(a, rhs):
-        entries.update(zip(values.tolist(), counts.tolist()))
-    hist = RepHistogram(entries)
-    if hist.total != len(a) * len(rhs):
-        raise RuntimeError(f"representation mass {hist.total} != |A||B| = {len(a) * len(rhs)}")
-    return hist
+def rep_function(a: IntSet, b: IntSet, sign: str = "plus") -> tuple[np.ndarray, np.ndarray]:
+    """r_{A+-B}(x) = #{(p, q) in A x B : p +- q = x} as (values, counts):
+    the windows of the kernel ``_rep_windows`` joined, values strictly
+    increasing in int64 and counts positive."""
+    windows = list(_rep_windows(a, _signed(a, b, sign)))
+    if not windows:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    values, counts = zip(*windows)
+    return np.concatenate(values), np.concatenate(counts)
 
 
 def _signed(a: IntSet, b: IntSet, sign: str) -> IntSet:
@@ -426,19 +379,20 @@ def quadruple_intersection(a: IntSet, alpha: int, beta: int, gamma: int) -> int:
 def popular_differences(a: IntSet) -> IntSet:
     """Differences s of A - A with r_{A-A}(s) >= |A|^2 / (4|A-A|).
 
-    The threshold comparison is exact (integer cross-multiplication) and
-    inclusive: a count exactly on the threshold is kept.
+    The threshold comparison is exact and inclusive: a count exactly on the
+    threshold is kept.
     """
     if len(a) == 0:
         raise ValueError("popular_differences requires a nonempty set")
-    return _popular(rep_function(a, a, "minus"), len(a))
+    return _popular(*rep_function(a, a, "minus"), len(a))
 
 
-def _popular(diffs: RepHistogram, size: int) -> IntSet:
-    """The popular differences of a set of the given size, from its r_{A-A}."""
-    d_size = len(diffs)
-    n2 = size * size
-    return IntSet(s for s, c in diffs.items() if 4 * d_size * c >= n2)
+def _popular(values: np.ndarray, counts: np.ndarray, size: int) -> IntSet:
+    """The popular differences of a set of the given size, from its r_{A-A}
+    as (values, counts).  An integer count c satisfies c >= n^2 / (4|A-A|)
+    exactly when it reaches the integer ceiling of the right-hand side."""
+    threshold = -(-size * size // (4 * len(values)))
+    return IntSet(values[counts >= threshold].tolist())
 
 
 @dataclass(frozen=True)
@@ -457,16 +411,16 @@ def popular_energy_sum(a: IntSet, k: int = 3) -> PopularEnergySum:
 
     reference is |A|^(2k/(k-1)) for the caller-supplied k; the comparison
     is report-only (the associated lower bound is conditional).  One
-    r_{A-A} gives both A - A (its support) and P.
+    r_{A-A} gives both A - A (its values) and P.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if len(a) == 0:
-        raise ValueError("popular_differences requires a nonempty set")
-    diffs = rep_function(a, a, "minus")
-    p = _popular(diffs, len(a))
-    hist = rep_function(p, p, "minus")
-    total = sum(hist[x] for x in diffs.support())
+        raise ValueError("popular_energy_sum requires a nonempty set")
+    diffs, counts = rep_function(a, a, "minus")
+    p = _popular(diffs, counts, len(a))
+    values, counts = rep_function(p, p, "minus")
+    total = int(counts[np.isin(values, diffs)].sum())
     reference = float(len(a)) ** (2 * k / (k - 1))
     ratio = total / reference if reference else 0.0
     return PopularEnergySum(popular=p, sum=total, reference=reference, ratio=ratio)
@@ -478,11 +432,8 @@ def count_difference_triples(a: IntSet) -> int:
     Reported raw; callers comparing against |D|^(2-c) supply their own c.
     """
     d = difference_set(a, a)
-    members = d.as_set()
-    if d:
-        checked_sub(d.max(), d.min())
-        checked_sub(d.min(), d.max())
-    return sum(1 for x in d for y in d.elements if (x - y) in members)
+    values, counts = rep_function(d, d, "minus")
+    return int(counts[np.isin(values, d.elements)].sum())
 
 
 def structure_ratios(a: IntSet) -> dict:

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .checked import check_int128, checked_add, checked_mul
+from .checked import check_int, check_int128, checked_add, checked_mul
 from .errors import BudgetExceededError
 from .intset import IntSet
 from .powers import is_kth_power
@@ -33,7 +33,7 @@ class Matching:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple((int(a), int(b)) for a, b in self.pairs)
+        pairs = tuple((check_int(a, "matching entry"), check_int(b, "matching entry")) for a, b in self.pairs)
         if len(set(pairs)) != len(pairs):
             raise ValueError("matching pairs must be distinct as ordered pairs")
         object.__setattr__(self, "pairs", pairs)

@@ -23,6 +23,12 @@ def naive_rep(a, b, sign):
     return out
 
 
+def rep_dict(rep):
+    """rep_function's (values, counts) arrays as a dict value -> count."""
+    values, counts = rep
+    return dict(zip(values.tolist(), counts.tolist()))
+
+
 def naive_count_solutions(a, c, points):
     """#{(x, v, (b, d)) in A x C x L : x = b*v + d} by a triple loop."""
     return sum(1 for x in a for v in c for b, d in points if x == b * v + d)

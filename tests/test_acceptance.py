@@ -37,7 +37,7 @@ from addcomb import (
 from addcomb.curves import census_from_counts, quadruple_counts
 from addcomb.gaps import Gap
 from addcomb.incidence import PointSet2D, count_solutions
-from conftest import naive_count_solutions, naive_rep
+from conftest import naive_count_solutions, naive_rep, rep_dict
 
 
 @contextmanager
@@ -147,7 +147,7 @@ def test_criterion_4_oracle_equivalence():
             a = random_set(rng, 25, -300, 300)
             b = random_set(rng, 25, -300, 300)
             for sign in ("plus", "minus"):
-                assert dict(rep_function(a, b, sign).items()) == naive_rep(a, b, sign)
+                assert rep_dict(rep_function(a, b, sign)) == naive_rep(a, b, sign)
         # hashed incidence counting versus the triple loop
         for _ in range(30):
             a = random_set(rng, 50, -80, 80)

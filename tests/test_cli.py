@@ -164,6 +164,17 @@ def test_exit_codes_malformed_json(capsys, monkeypatch, tmp_path):
     code, out = run_cli(capsys, monkeypatch, tmp_path,
                         "curve-points", "--curve", "[2]", "--height", "5")
     assert code == 2 and out == ""
+    # a JSON number that is not an integer (a float, a bool) is neither
+    # truncated nor a traceback
+    gap = '{"base":1,"steps":%s,"lengths":%s}'
+    for argv in (("matching", "--pairs", "[[1.5,2]]"),
+                 ("incidence", "--a-set", "[1,2]", "--c-set", "[1]", "--points", "[[1.5,0]]"),
+                 ("mobius-check", "--i-set", "[1,2]", "--gap", gap % ("[true]", "[3]")),
+                 ("mobius-check", "--i-set", "[1,2]", "--gap", gap % ("[1]", "[3.0]")),
+                 ("curve-points", "--curve", '{"k":2.0,"coeffs":[1,0,1]}', "--height", "5"),
+                 ("curve-points", "--curve", '{"k":2,"coeffs":[1,0,1.5]}', "--height", "5")):
+        code, out = run_cli(capsys, monkeypatch, tmp_path, *argv)
+        assert (code, out) == (2, ""), argv
     # so is a stored checkpoint of the wrong shape under --resume
     key = json.dumps({"k": 2, "n": 3, "pmax": 5, "rmax": 5}, sort_keys=True, separators=(",", ":"))
     RecordStore(tmp_path / "bad.jsonl").append({"type": "checkpoint", "config_key": key, "frontier": {"r": 1}})

@@ -19,6 +19,7 @@ from addcomb import (
     split_for_double_properness,
     stratify,
 )
+from addcomb import gaps
 from conftest import naive_residue_count, naive_ring_solution_count
 
 
@@ -172,8 +173,17 @@ def test_mobius_values():
             d += 1
         return -result if n > 1 else result
 
-    for n in range(1, 500):
+    for n in range(1, 3000):
         assert mobius(n) == oracle(n), n
+
+
+def test_factorize_rebuilds_n_from_increasing_primes():
+    for n in range(1, 10**4 + 1):
+        factors = gaps._factorize(n)
+        primes = [p for p, _ in factors]
+        assert primes == sorted(set(primes))
+        assert all(p >= 2 and e >= 1 and all(p % d for d in range(2, math.isqrt(p) + 1)) for p, e in factors)
+        assert math.prod(p**e for p, e in factors) == n, n
 
 
 def test_mobius_identity_example():

@@ -2,11 +2,14 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addcomb import (
+    INT64_MAX,
+    INT64_MIN,
     BudgetExceededError,
     IntegerOverflowError,
     IntSet,
@@ -25,7 +28,7 @@ from addcomb import (
     sumset,
 )
 from addcomb import intset
-from conftest import naive_rep, random_intset
+from conftest import naive_rep, random_intset, rep_dict
 
 small_sets = st.sets(st.integers(-50, 50), min_size=0, max_size=8).map(IntSet)
 nonempty_sets = st.sets(st.integers(-50, 50), min_size=1, max_size=8).map(IntSet)
@@ -106,6 +109,34 @@ def test_sumset_matches_brute_force(a, b):
     assert sumset(a, b) == expected
 
 
+def int64_end_cases(rng):
+    """Seeded (A, B) with B small around 0 and A placed so that its largest
+    sum is INT64_MAX, its smallest INT64_MIN, or both."""
+    for _ in range(150):
+        b = rng.sample(range(-30, 31), rng.randint(0, 5)) + [rng.randrange(31), -rng.randrange(31)]
+        top = [INT64_MAX - max(b) - u for u in [0] + rng.sample(range(1, 60), rng.randint(0, 4))]
+        bottom = [INT64_MIN - min(b) + u for u in [0] + rng.sample(range(1, 60), rng.randint(0, 4))]
+        at_max, at_min = rng.choice([(True, False), (False, True), (True, True)])
+        yield IntSet((top if at_max else []) + (bottom if at_min else [])), IntSet(b), at_max, at_min
+
+
+@pytest.mark.parametrize("window", [intset.WINDOW_PAIRS, 3])
+def test_sumsets_at_int64_ends_match_oracle(monkeypatch, window):
+    monkeypatch.setattr(intset, "WINDOW_PAIRS", window)
+    for a, b, at_max, at_min in int64_end_cases(random.Random(4100 + window)):
+        sums = sumset(a, b)
+        assert sums == IntSet({x + y for x in a for y in b})
+        assert (INT64_MAX in sums, INT64_MIN in sums) == (at_max, at_min)
+        neg_b = b.negate()
+        assert difference_set(a, neg_b) == IntSet({x - y for x in a for y in neg_b})
+        # one more unit on the touched end is past it
+        past = IntSet([b.max() + 1] if at_max else [b.min() - 1])
+        with pytest.raises(IntegerOverflowError):
+            sumset(a, past)
+        with pytest.raises(IntegerOverflowError):
+            difference_set(a, past.negate())
+
+
 # ---------------------------------------------------------------------------
 # representation functions
 # ---------------------------------------------------------------------------
@@ -113,27 +144,29 @@ def test_sumset_matches_brute_force(a, b):
 
 def test_rep_function_examples():
     a = IntSet([0, 1])
-    assert dict(rep_function(a, a, "minus").items()) == {-1: 1, 0: 2, 1: 1}
+    assert rep_dict(rep_function(a, a, "minus")) == {-1: 1, 0: 2, 1: 1}
     sq = IntSet([1, 4, 9])
-    assert dict(rep_function(sq, sq, "plus").items()) == {2: 1, 5: 2, 8: 1, 10: 2, 13: 2, 18: 1}
+    assert rep_dict(rep_function(sq, sq, "plus")) == {2: 1, 5: 2, 8: 1, 10: 2, 13: 2, 18: 1}
 
 
 @given(nonempty_sets)
 @settings(max_examples=60, deadline=None)
 def test_rep_minus_symmetry_and_zero(a):
-    hist = rep_function(a, a, "minus")
+    hist = rep_dict(rep_function(a, a, "minus"))
     assert hist[0] == len(a)
     for value, count in hist.items():
-        assert hist[-value] == count
+        assert hist.get(-value) == count
 
 
 @given(small_sets, small_sets)
 @settings(max_examples=60, deadline=None)
 def test_rep_methods_agree_with_naive(a, b):
     for sign in ("plus", "minus"):
-        got = rep_function(a, b, sign)
-        assert dict(got.items()) == naive_rep(a, b, sign)
-        assert got.total == len(a) * len(b)
+        values, counts = rep_function(a, b, sign)
+        assert rep_dict((values, counts)) == naive_rep(a, b, sign)
+        assert values.dtype == np.int64 and bool(np.all(values[1:] > values[:-1]))
+        assert bool(np.all(counts > 0))
+        assert int(counts.sum()) == len(a) * len(b)
 
 
 NEAR_2_62 = (1 << 62) - 1
@@ -161,9 +194,25 @@ def test_windowed_kernel_matches_naive_over_many_windows(monkeypatch, window):
     monkeypatch.setattr(intset, "WINDOW_PAIRS", window)
     for a, b in forced_window_cases(random.Random(3000 + window)):
         for sign in ("plus", "minus"):
-            assert dict(rep_function(a, b, sign).items()) == naive_rep(a, b, sign)
+            assert rep_dict(rep_function(a, b, sign)) == naive_rep(a, b, sign)
         assert energy(a, b) == sum(c**2 for c in naive_rep(a, b, "plus").values())
         assert higher_energy(a, 3) == sum(c**3 for c in naive_rep(a, a, "minus").values())
+        if not a:
+            continue
+        # P - P and D - D leave signed 64-bit for the sets near +-2^62
+        diffs = naive_rep(a, a, "minus")
+        p = popular_oracle(a)
+        if p.max() - p.min() <= INT64_MAX:
+            pp = naive_rep(p, p, "minus")
+            assert popular_energy_sum(a).sum == sum(pp.get(x, 0) for x in diffs)
+        else:
+            with pytest.raises(IntegerOverflowError):
+                popular_energy_sum(a)
+        if max(diffs) - min(diffs) <= INT64_MAX:
+            assert count_difference_triples(a) == triples_oracle(a)
+        else:
+            with pytest.raises(IntegerOverflowError):
+                count_difference_triples(a)
 
 
 def test_higher_energy_past_int64():
@@ -189,8 +238,8 @@ def test_energy_examples():
 @given(nonempty_sets)
 @settings(max_examples=40, deadline=None)
 def test_energy_both_ways(a):
-    via_sums = sum(c * c for c in rep_function(a, a, "plus").counts())
-    via_diffs = sum(c * c for c in rep_function(a, a, "minus").counts())
+    via_sums = sum(c * c for c in rep_dict(rep_function(a, a, "plus")).values())
+    via_diffs = sum(c * c for c in rep_dict(rep_function(a, a, "minus")).values())
     assert energy(a, a) == via_sums == via_diffs
 
 
