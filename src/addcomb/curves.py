@@ -9,6 +9,7 @@ the offending x.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -365,49 +366,91 @@ def square_sum_clique_search(
     node_budget: int = DEFAULT_CLIQUE_NODE_BUDGET,
 ) -> list[IntSet]:
     """All target-size subsets of [1, height] whose pairwise sums are all
-    perfect squares.
+    perfect squares, sorted (smallest element first, then lexicographic).
+    An optional cap keeps only the first max_results of them.
 
-    Backtracking over the square-sum graph, extending in ascending order
-    (smallest element first, then lexicographic), so the output order is
-    deterministic.  An optional cap truncates the result list.
+    Size 3 uses Euler's parametrization: a + b = s^2, a + c = t^2 and
+    b + c = u^2 with s < t < u give a = (s^2 + t^2 - u^2)/2,
+    b = (s^2 - t^2 + u^2)/2 and c = (t^2 + u^2 - s^2)/2, so every triple
+    comes from one (s, t, u) and no power test is run.  A larger clique
+    extends a smaller one by a common third element of its two smallest
+    members.  node_budget bounds the work, and with it the memory: each
+    (t, u) pair, each triple, each size-2 pair and each extension
+    candidate counts one.
     """
     if target_size < 2:
         raise ValueError(f"target size must be >= 2, got {target_size}")
-    if height < 1:
+    if max_results is not None and max_results < 0:
+        raise ValueError(f"max results must be >= 0, got {max_results}")
+    if height < 1 or max_results == 0:
         return []
-    neighbors: dict[int, list[int]] = {}
-    for a in range(1, height + 1):
-        higher = []
-        s = math.isqrt(2 * a) + 1  # smallest possible square index above a + a
-        while s * s <= a + height:
-            b = s * s - a
-            if b > a:
-                higher.append(b)
-            s += 1
-        neighbors[a] = sorted(higher)
-    results: list[IntSet] = []
-    nodes = 0
+    work = 0
 
-    def extend(clique: list[int], candidates: list[int]) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
+    def spend(amount: int) -> None:
+        nonlocal work
+        work += amount
+        if work > node_budget:
             raise BudgetExceededError(f"clique search exceeded node budget {node_budget}")
-        if len(clique) == target_size:
-            results.append(IntSet(clique))
-            return max_results is not None and len(results) >= max_results
-        for i, c in enumerate(candidates):
-            if len(clique) + (len(candidates) - i) < target_size:
-                break
-            narrowed = [v for v in candidates[i + 1 :] if is_kth_power(c + v, 2)]
-            if extend(clique + [c], narrowed):
-                return True
-        return False
 
-    for a in range(1, height + 1):
-        if extend([a], neighbors[a]):
-            break
-    return results
+    if target_size == 2:
+        cliques = []
+        for a in range(1, height + 1):
+            roots = range(math.isqrt(2 * a) + 1, math.isqrt(a + height) + 1)
+            spend(len(roots))
+            cliques.extend((a, s * s - a) for s in roots)
+    else:
+        cliques = sorted(_square_triples(height, spend))
+        if target_size > 3:
+            cliques = _extend_cliques(cliques, target_size, height, spend)
+    return [IntSet(c) for c in cliques[:max_results]]
+
+
+def _extend_cliques(triples, target_size: int, height: int, spend) -> list[tuple[int, ...]]:
+    """The target-size cliques, grown from the sorted triples one element
+    at a time: a clique takes each larger third element of its two
+    smallest members that makes a square with every other member.  Each
+    round keeps the list sorted."""
+    thirds: dict[tuple[int, int], list[int]] = {}
+    for a, b, c in triples:
+        thirds.setdefault((a, b), []).append(c)
+    squares = {s * s for s in range(math.isqrt(2 * height) + 1)}
+    cliques = triples
+    for _ in range(target_size - 3):
+        grown = []
+        for clique in cliques:
+            pool = thirds[clique[:2]]
+            fresh = pool[bisect.bisect_right(pool, clique[-1]) :]
+            spend(len(fresh))
+            grown.extend(
+                clique + (d,) for d in fresh if all(x + d in squares for x in clique[2:])
+            )
+        cliques = grown
+    return cliques
+
+
+def _square_triples(height: int, spend) -> list[tuple[int, int, int]]:
+    """Every a < b < c in [1, height] with a + b, a + c and b + c square,
+    from the (s, t, u) of Euler's parametrization, unsorted."""
+    triples = []
+    for u in range(3, math.isqrt(2 * height - 1) + 1):
+        uu = u * u
+        # s < t and s^2 > u^2 - t^2 need 2 t^2 > u^2
+        ts = range(math.isqrt(uu // 2), u)
+        spend(len(ts))
+        for t in ts:
+            tt = t * t
+            lo = math.isqrt(uu - tt) + 1  # a >= 1
+            excess = tt + uu - 2 * height
+            if excess > 0:  # c <= height
+                lo = max(lo, math.isqrt(excess - 1) + 1)
+            lo += (lo + t + u) % 2  # s = t + u (mod 2): a, b, c are integers
+            ss = range(lo, t, 2)
+            spend(len(ss))
+            triples.extend(
+                ((s * s + tt - uu) // 2, (s * s - tt + uu) // 2, (tt + uu - s * s) // 2)
+                for s in ss
+            )
+    return triples
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ oracle per counted quantity, which the production kernels are compared
 against."""
 
 import itertools
+import math
 import random
 
 from addcomb import IntSet
@@ -52,3 +53,27 @@ def naive_ring_solution_count(gap, l):
         for idx in itertools.product(range(l), repeat=gap.dimension)
         if (gap.base + sum(s * x for s, x in zip(gap.steps, idx))) % l == 0
     )
+
+
+def naive_clique_search(height, size):
+    """Every size-element subset of [1, height] with all pairwise sums
+    square, sorted, by backtracking over the square-sum graph: each clique
+    grows in ascending order, and its candidates narrow to the common
+    neighbours of its members by a square test on every candidate pair."""
+
+    def is_square(v):
+        return math.isqrt(v) ** 2 == v
+
+    def extend(clique, candidates):
+        if len(clique) == size:
+            yield tuple(clique)
+            return
+        for i, c in enumerate(candidates):
+            narrowed = [v for v in candidates[i + 1 :] if is_square(c + v)]
+            yield from extend(clique + [c], narrowed)
+
+    out = []
+    for a in range(1, height + 1):
+        higher = [s * s - a for s in range(math.isqrt(2 * a) + 1, math.isqrt(a + height) + 1)]
+        out.extend(extend([a], higher))
+    return out

@@ -303,6 +303,19 @@ def test_clique_command(capsys, monkeypatch, tmp_path):
     assert [6, 19, 30] in members
 
 
+def test_clique_max_results_zero_and_negative(capsys, monkeypatch, tmp_path):
+    code, out = run_cli(capsys, monkeypatch, tmp_path,
+                        "clique", "--height", "50", "--size", "3", "--max-results", "0")
+    assert code == 0
+    assert [r["type"] for r in rows(out)] == ["header", "clique_summary"]
+    assert rows(out)[-1]["count"] == 0
+    for cap in ("-1", "-5"):
+        code, out = run_cli(capsys, monkeypatch, tmp_path,
+                            "clique", "--height", "50", "--size", "3", "--max-results", cap)
+        assert code == 2
+        assert [r["type"] for r in rows(out)] == ["header"]
+
+
 def test_popular_command(capsys, monkeypatch, tmp_path):
     code, out = run_cli(capsys, monkeypatch, tmp_path,
                         "popular", "--set", "[0,1]")

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from addcomb import (
     square_sum_clique_search,
 )
 from addcomb.curves import is_squarefree, quadruple_curve
+from conftest import naive_clique_search
 
 QUINTIC = CurveSpec(2, (120, 274, 225, 85, 15, 1))  # (x+1)(x+2)(x+3)(x+4)(x+5)
 
@@ -205,6 +207,36 @@ def test_clique_cap_and_order():
     # ascending by smallest element, then lexicographic
     keys = [c.elements for c in full]
     assert keys == sorted(keys)
+
+
+def test_clique_search_matches_naive_oracle():
+    # h < 6 has no triple; 3473 holds both size-4 cliques below 4000
+    rng = random.Random(16)
+    heights = [*range(6), *rng.sample(range(6, 4001), 6), 3473]
+    found = {}
+    for height in heights:
+        for size in (2, 3, 4, 5):
+            full = naive_clique_search(height, size)
+            found[size] = found.get(size, 0) + len(full)
+            k = rng.randint(2, len(full) + 2)
+            for cap in (None, 0, 1, k):
+                got = square_sum_clique_search(height, size, max_results=cap)
+                assert [c.elements for c in got] == full[:cap], (height, size, cap)
+    assert found[2] and found[3] and found[4]
+
+
+def test_clique_cap_zero_and_negative():
+    assert square_sum_clique_search(50, 3, max_results=0) == []
+    for cap in (-1, -5):
+        with pytest.raises(ValueError):
+            square_sum_clique_search(50, 3, max_results=cap)
+
+
+def test_clique_node_budget():
+    for size in (2, 3, 4):
+        with pytest.raises(BudgetExceededError):
+            square_sum_clique_search(500, size, node_budget=50)
+    assert len(square_sum_clique_search(20000, 3)) == 88917
 
 
 def test_pair_square_edges():

@@ -177,6 +177,15 @@ def test_mobius_values():
         assert mobius(n) == oracle(n), n
 
 
+def test_mobius_sieve_matches_mobius():
+    mu = gaps.mobius_sieve(10**4)
+    assert len(mu) == 10**4 + 1 and mu[0] == 0
+    assert mu[1:] == [mobius(n) for n in range(1, 10**4 + 1)]
+    assert gaps.mobius_sieve(0) == [0] and gaps.mobius_sieve(1) == [0, 1]
+    with pytest.raises(BudgetExceededError):
+        gaps.mobius_sieve(100, budget=100)
+
+
 def test_factorize_rebuilds_n_from_increasing_primes():
     for n in range(1, 10**4 + 1):
         factors = gaps._factorize(n)
