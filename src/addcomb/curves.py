@@ -376,7 +376,9 @@ def square_sum_clique_search(
     extends a smaller one by a common third element of its two smallest
     members.  node_budget bounds the work, and with it the memory: each
     (t, u) pair, each triple, each size-2 pair and each extension
-    candidate counts one.
+    candidate counts one.  Size 2 stops listing pairs at the cap; larger
+    sizes enumerate every clique before the cap applies, so the budget
+    covers the full enumeration whatever the cap.
     """
     if target_size < 2:
         raise ValueError(f"target size must be >= 2, got {target_size}")
@@ -393,11 +395,16 @@ def square_sum_clique_search(
             raise BudgetExceededError(f"clique search exceeded node budget {node_budget}")
 
     if target_size == 2:
-        cliques = []
-        for a in range(1, height + 1):
-            roots = range(math.isqrt(2 * a) + 1, math.isqrt(a + height) + 1)
-            spend(len(roots))
-            cliques.extend((a, s * s - a) for s in roots)
+        # pairs come sorted, so a cap stops the listing; one pair over the
+        # budget is enough to raise
+        pairs = (
+            (a, s * s - a)
+            for a in range(1, height + 1)
+            for s in range(math.isqrt(2 * a) + 1, math.isqrt(a + height) + 1)
+        )
+        limit = node_budget + 1 if max_results is None else min(max_results, node_budget + 1)
+        cliques = list(itertools.islice(pairs, limit))
+        spend(len(cliques))
     else:
         cliques = sorted(_square_triples(height, spend))
         if target_size > 3:

@@ -331,12 +331,14 @@ def fix_fiber(gap: Gap, assignments: dict[int, int]) -> Gap:
 # ---------------------------------------------------------------------------
 
 
-def mobius_sieve(n: int, budget: int = DEFAULT_ENUM_BUDGET) -> list[int]:
+def mobius_sieve(n: int) -> list[int]:
     """[mu(0), mu(1), ..., mu(n)] with mu(0) = 0, by one sieve of
     Eratosthenes: each prime p flips the sign of its multiples and zeroes
     the multiples of p^2."""
-    if n + 1 > budget:
-        raise BudgetExceededError(f"mobius sieve to {n} exceeds enumeration budget {budget}")
+    if n + 1 > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceededError(
+            f"mobius sieve to {n} exceeds enumeration budget {DEFAULT_ENUM_BUDGET}"
+        )
     mu = [1] * (n + 1)
     mu[0] = 0
     composite = bytearray(n + 1)

@@ -239,6 +239,20 @@ def test_clique_node_budget():
     assert len(square_sum_clique_search(20000, 3)) == 88917
 
 
+def test_clique_cap_stops_size_two_listing():
+    # at this height the full pair list is far past the default budget;
+    # a capped size-2 query lists only the pairs it keeps
+    first = [(1, 3), (1, 8), (1, 15), (1, 24), (1, 35)]
+    got = square_sum_clique_search(10**9, 2, max_results=5)
+    assert [c.elements for c in got] == first
+    got = square_sum_clique_search(10**9, 2, max_results=5, node_budget=5)
+    assert [c.elements for c in got] == first
+    with pytest.raises(BudgetExceededError):
+        square_sum_clique_search(10**9, 2, max_results=6, node_budget=5)
+    with pytest.raises(BudgetExceededError):
+        square_sum_clique_search(10**9, 2, node_budget=1000)
+
+
 def test_pair_square_edges():
     report = pair_square_edges(IntSet([1]), IntSet([3, 8, 15]))
     assert report.count == 3
