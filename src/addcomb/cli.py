@@ -128,68 +128,73 @@ def _energy(args):
         if not args.n_list:
             raise ValueError("--powers requires --n-list")
         bounds = [int(v) for v in args.n_list.split(",") if v.strip()]
+        trend = [powers.energy_experiment(args.powers, bound).to_json() for bound in bounds]
         yield {"powers": args.powers, "n_list": bounds}
-        for bound in bounds:
-            yield powers.energy_experiment(args.powers, bound).to_json()
+        yield from trend
         return
     if not args.set_json:
         raise ValueError("energy needs --set or --powers/--n-list")
     a = _decode(_int_set, json.loads(args.set_json))
     b = _decode(_int_set, json.loads(args.b_set_json)) if args.b_set_json else None
-    yield {"set": a.to_json(), "b_set": b.to_json() if b is not None else None}
     if b is None:
-        yield {"type": "energy", "k": 2, "l": 2, "value": higher_energy(a, 2)}
+        row = {"type": "energy", "k": 2, "l": 2, "value": higher_energy(a, 2)}
     else:
-        yield {"type": "energy", "value": energy(a, b)}
+        row = {"type": "energy", "value": energy(a, b)}
+    yield {"set": a.to_json(), "b_set": b.to_json() if b is not None else None}
+    yield row
 
 
 def _mixed_energy(args):
     a = _decode(_int_set, json.loads(args.set_json))
-    yield {"set": a.to_json(), "k": args.k, "l": args.l}
     value = mixed_energy(a, args.k, args.l)
     mirrored = mixed_energy(a, args.l, args.k)
+    yield {"set": a.to_json(), "k": args.k, "l": args.l}
     yield {"type": "mixed_energy", "k": args.k, "l": args.l,
            "value": value, "mirrored": mirrored, "symmetric": value == mirrored}
 
 
 def _pluennecke(args):
     a = _decode(_int_set, json.loads(args.set_json))
+    check = pluennecke_check(a, args.n, args.m)
     yield {"set": a.to_json(), "n": args.n, "m": args.m}
-    yield {"type": "pluennecke", "n": args.n, "m": args.m, **pluennecke_check(a, args.n, args.m).to_json()}
+    yield {"type": "pluennecke", "n": args.n, "m": args.m, **check.to_json()}
 
 
 def _scan_ap(args):
     params = {"k": args.k, "p": args.p, "r": args.r, "n": args.n}
+    count = powers.count_in_ap(args.k, args.p, args.r, args.n)
     yield params
-    yield {"type": "ap_count", **params, "count": powers.count_in_ap(args.k, args.p, args.r, args.n)}
+    yield {"type": "ap_count", **params, "count": count}
 
 
 def _scan_gap(args):
     gap = _decode(gaps.Gap.from_json, json.loads(args.gap))
+    scan = powers.scan_gap(args.k, gap)
     yield {"k": args.k, "gap": gap.to_json()}
-    yield powers.scan_gap(args.k, gap).to_json()
+    yield scan.to_json()
 
 
 def _qk(args):
     params = {"k": args.k, "n": args.n, "pmax": args.pmax, "rmax": args.rmax}
-    yield params
-    store = _store(args)
+    store = args.store
     config_key = dumps(params)
     checkpoint = store.last_checkpoint(config_key) if args.resume else None
     resume = _decode(lambda c: powers.ScanFrontier.from_json(c["frontier"]), checkpoint) if checkpoint else None
-    yield powers.qk_oracle(
+    record = powers.qk_oracle(
         args.k, args.n, args.pmax, args.rmax,
         resume=resume,
         checkpoint=lambda frontier: store.append({"type": "checkpoint", "config_key": config_key,
                                                   "frontier": frontier.to_json()}),
         checkpoint_every=args.checkpoint_every,
     ).to_json()
+    yield params
+    yield record
 
 
 def _curve_points(args):
     curve = _decode(curves.CurveSpec.from_json, json.loads(args.curve))
-    yield {"curve": curve.to_json(), "height": args.height, "mode": args.mode}
     points = curves.point_search(curve, args.height, args.mode)
+    yield {"curve": curve.to_json(), "height": args.height, "mode": args.mode}
     try:
         g = curves.genus(curve)
     except curves.UnsupportedCurveError:
@@ -198,8 +203,8 @@ def _curve_points(args):
 
 
 def _probe_quadruples(args):
-    yield {"alpha_min": args.alpha_min, "alpha_max": args.alpha_max, "height": args.height}
     counts = curves.quadruple_counts(args.alpha_min, args.alpha_max, args.height)
+    yield {"alpha_min": args.alpha_min, "alpha_max": args.alpha_max, "height": args.height}
     for triple, count in counts:
         yield {"type": "quadruple_count", "triple": list(triple), "count": count, "height": args.height}
     census = curves.census_from_counts(counts, args.height, args.alpha_min, args.alpha_max)
@@ -207,8 +212,8 @@ def _probe_quadruples(args):
 
 
 def _clique(args):
-    yield {"height": args.height, "size": args.size, "max_results": args.max_results}
     cliques = curves.square_sum_clique_search(args.height, args.size, args.max_results)
+    yield {"height": args.height, "size": args.size, "max_results": args.max_results}
     for clique in cliques:
         yield {"type": "clique", "members": clique.to_json()}
     yield {"type": "clique_summary", "count": len(cliques)}
@@ -218,23 +223,24 @@ def _incidence(args):
     a = _decode(_int_set, json.loads(args.a_set))
     c = _decode(_int_set, json.loads(args.c_set))
     points = _decode(incidence.PointSet2D.from_json, json.loads(args.points))
+    report = incidence.bound_report(a, c, points, args.squares_b)
     yield {"a_set": a.to_json(), "c_set": c.to_json(), "points": points.to_json(), "squares_b": args.squares_b}
-    yield {"type": "incidence", **incidence.bound_report(a, c, points, args.squares_b).to_json()}
+    yield {"type": "incidence", **report.to_json()}
 
 
 def _matching(args):
     matching = _decode(sumproduct.Matching.from_json, json.loads(args.pairs))
-    yield {"pairs": matching.to_json()}
     sp = sumproduct.sums_products(matching)
     graph = sumproduct.sp_graph(matching)
+    yield {"pairs": matching.to_json()}
     yield {"type": "matching", **sp.to_json(), "P_size": len(sp.products), "S_size": len(sp.sums),
            "edges": len(graph.edges), "cubic_energy": sumproduct.cubic_energy(graph)}
 
 
 def _extremal(args):
-    yield {"n": args.n, "box": args.box, "iterations": args.iterations, "mode": args.mode}
     result = sumproduct.extremal_search(args.n, box=args.box, seed=args.seed,
                                         iterations=args.iterations, mode=args.mode)
+    yield {"n": args.n, "box": args.box, "iterations": args.iterations, "mode": args.mode}
     yield {"type": "extremal", **result.to_json()}
 
 
@@ -242,23 +248,24 @@ def _mobius_check(args):
     i_set = _decode(_int_set, json.loads(args.i_set))
     gap = _decode(gaps.Gap.from_json, json.loads(args.gap))
     ls = [args.l] if args.l is not None else list(range(1, args.l_max + 1))
+    checks = gaps.mobius_identity_check(i_set, gap, ls)
     yield {"i_set": i_set.to_json(), "gap": gap.to_json(), "l_values": ls}
-    for l, check in zip(ls, gaps.mobius_identity_check(i_set, gap, ls)):
+    for l, check in zip(ls, checks):
         yield {"type": "mobius_check", "l": l, **check.to_json()}
 
 
 def _inclusion_check(args):
     a = _decode(_int_set, json.loads(args.set_json))
     z = _decode(_int_set, json.loads(args.z))
-    yield {"set": a.to_json(), "z": z.to_json(), "d": args.d, "l": args.l}
     check = powers.multiplicative_inclusion_check(a, z, args.d, args.l)
+    yield {"set": a.to_json(), "z": z.to_json(), "d": args.d, "l": args.l}
     yield {"type": "inclusion_check", "d": args.d, "l": args.l, **check.to_json()}
 
 
 def _popular(args):
     a = _decode(_int_set, json.loads(args.set_json))
-    yield {"set": a.to_json(), "k": args.k}
     summary = popular_energy_sum(a, args.k)
+    yield {"set": a.to_json(), "k": args.k}
     yield {"type": "popular", "popular": summary.popular.to_json(), "k": args.k, **summary.to_json()}
 
 
@@ -274,7 +281,7 @@ def _verify(args):
     yield {}
     all_ok = True
     try:
-        records = _store(args).read_all()
+        records = args.store.read_all()
     except ValueError as exc:  # a store that cannot be read verifies nothing
         print(f"verify failed: {exc}", file=sys.stderr)
         records, all_ok = [], False
@@ -391,16 +398,18 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def run(args) -> int:
-    """Write the header, then every result row of the command; a row with
-    all_ok false (a failed verify) makes the exit code 1."""
+    """Write the header, then every result row of the command, appending
+    the rows of a stored command to args.store; a row with all_ok false (a
+    failed verify) makes the exit code 1."""
     handler, stored, _, _ = COMMANDS[args.command]
-    # a handler is a generator: it parses its inputs and yields the run's
-    # params, then computes its result rows as they are read
+    # a handler is a generator: it parses and checks its inputs, so that a
+    # usage error prints no header, and yields the run's params; then it
+    # yields its result rows
     rows = handler(args)
     params = next(rows)
     config = _config(args, params)
     reporter = Reporter(config, args.format)
-    store = _store(args) if stored else None
+    store = args.store if stored else None
     exit_code = 0
     for row in rows:
         if store is not None:
@@ -415,8 +424,10 @@ def run(args) -> int:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    args.store = _store(args)
     try:
-        return run(args)
+        with args.store:  # the run's appends share one handle, closed here
+            return run(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

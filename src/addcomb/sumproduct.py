@@ -20,7 +20,6 @@ from typing import Iterable
 from .checked import check_int, check_int128, checked_add, checked_mul
 from .errors import BudgetExceededError
 from .intset import IntSet
-from .powers import is_kth_power
 
 DEFAULT_KST_BUDGET = 1 << 22
 DEFAULT_EXHAUSTIVE_BUDGET = 1 << 22
@@ -114,7 +113,7 @@ def sp_graph(matching: Matching) -> BipartiteGraph:
     for a, b in matching.pairs:
         p, s = checked_mul(a, b), checked_add(a, b)
         disc = s * s - 4 * p
-        if disc != (a - b) * (a - b) or not is_kth_power(disc, 2):
+        if disc != (a - b) * (a - b):
             raise RuntimeError(f"discriminant identity fails for pair ({a}, {b})")
         edges.add((p, s))
     graph = BipartiteGraph(

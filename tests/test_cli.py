@@ -316,6 +316,27 @@ def test_clique_max_results_zero_and_negative(capsys, monkeypatch, tmp_path):
         assert not {"clique", "clique_summary"} & {r["type"] for r in rows(out)}
 
 
+@pytest.mark.parametrize("argv", [
+    ("qk", "--k", "2", "--n", "3", "--pmax", "5", "--rmax", "0"),
+    ("qk", "--k", "2", "--n", "3", "--pmax", "5", "--rmax", "5", "--checkpoint-every", "0"),
+    ("scan-ap", "--k", "2", "--p", "1", "--r", "0", "--n", "8"),
+    ("clique", "--height", "50", "--size", "3", "--max-results", "-1"),
+    ("probe-quadruples", "--alpha-min", "1", "--alpha-max", "5", "--height", "-1"),
+    ("curve-points", "--curve", '{"k":2,"coeffs":[15,0,1]}', "--height", "-1"),
+    ("energy", "--powers", "1", "--n-list", "5"),
+    ("mixed-energy", "--set", "[1,2]", "--k", "0", "--l", "1"),
+    ("pluennecke", "--set", "[0,1]", "--n", "-1", "--m", "1"),
+    ("extremal", "--n", "0"),
+    ("mobius-check", "--i-set", "[1,2]", "--gap", '{"base":1,"steps":[2],"lengths":[9]}', "--l", "0"),
+    ("inclusion-check", "--set", "[0,1]", "--z", "[1]", "--d", "1", "--l", "3"),
+    ("popular", "--set", "[0,1]", "--k", "0"),
+])
+def test_usage_error_prints_no_header_and_creates_no_store(capsys, monkeypatch, tmp_path, argv):
+    code, out = run_cli(capsys, monkeypatch, tmp_path, *argv)
+    assert (code, out) == (2, "")
+    assert not (tmp_path / "store.jsonl").exists()
+
+
 def test_popular_command(capsys, monkeypatch, tmp_path):
     code, out = run_cli(capsys, monkeypatch, tmp_path,
                         "popular", "--set", "[0,1]")
