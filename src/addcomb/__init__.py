@@ -8,7 +8,6 @@ from .curves import (
     genus,
     pair_square_edges,
     point_search,
-    probe_quadruple_family,
     square_sum_clique_search,
 )
 from .errors import BudgetExceededError, IntegerOverflowError, UnsupportedCurveError
@@ -16,32 +15,21 @@ from .gaps import (
     Gap,
     Stratification,
     enumerate_gap,
-    fix_fiber,
     gcd_normalize,
-    is_proper,
     mobius,
     mobius_identity_check,
-    residue_count,
-    ring_solution_count,
-    shrink,
-    split_for_double_properness,
     stratify,
 )
 from .incidence import PointSet2D, bound_report, count_solutions, tau
 from .intset import (
     IntSet,
-    count_difference_triples,
-    difference_set,
     energy,
     higher_energy,
     mixed_energy,
     pluennecke_check,
-    popular_differences,
     popular_energy_sum,
-    quadruple_intersection,
     rep_function,
     signed_sumset,
-    structure_ratios,
     sumset,
 )
 from .powers import (
@@ -64,7 +52,6 @@ from .sumproduct import (
     holder_chain_check,
     kst_bound,
     kst_free,
-    max_complete_bipartite,
     sp_graph,
     sums_products,
 )

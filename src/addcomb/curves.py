@@ -340,20 +340,6 @@ def census_from_counts(
     )
 
 
-def probe_quadruple_family(
-    alpha_lo: int,
-    alpha_hi: int,
-    height: int,
-    budget: int = DEFAULT_PROBE_BUDGET,
-    argmax_cap: int = 16,
-) -> QuadrupleCensus:
-    """Census over all admissible shift triples: histogram of point counts
-    plus the triples realizing the maximum.  The histogram totals the
-    number of admissible triples."""
-    counts = quadruple_counts(alpha_lo, alpha_hi, height, budget)
-    return census_from_counts(counts, height, alpha_lo, alpha_hi, argmax_cap)
-
-
 # ---------------------------------------------------------------------------
 # square-sum structures
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Generalized arithmetic progressions and gcd stratification machinery.
 
 A progression of dimension d is the value set {base + sum_j step_j * x_j}
-with 0 <= x_j < length_j.  Properness (value count equals the index-box
-size) is a queried property, never a type invariant: improper progressions
-are first-class citizens so the boundary can be detected.
+with 0 <= x_j < length_j.  It need not be proper: a value that several
+index tuples reach is one value of the set.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .checked import check_int, check_int64, checked_add
+from .checked import check_int, check_int64
 from .errors import BudgetExceededError
 from .intset import IntSet
 
@@ -75,48 +74,6 @@ def enumerate_gap(gap: Gap, budget: int = DEFAULT_ENUM_BUDGET) -> IntSet:
     return IntSet(values)
 
 
-def is_proper(gap: Gap, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
-    """True iff the value count equals the index-box size."""
-    return len(enumerate_gap(gap, budget)) == gap.index_box_size()
-
-
-@dataclass(frozen=True)
-class GapSplitPart:
-    gap: Gap
-    doubling_proper: bool
-
-
-def split_for_double_properness(gap: Gap, budget: int = DEFAULT_ENUM_BUDGET) -> list[GapSplitPart]:
-    """Halve every side of the index box, yielding 2^d sub-progressions.
-
-    Each part is tagged with whether its doubling (same steps, lengths
-    2L-1, base doubled) is proper, checked by enumeration.  The parts
-    partition the index box, so their value sets union to the original's.
-    """
-    if any(length < 2 for length in gap.lengths):
-        raise ValueError("splitting requires every length >= 2")
-    parts = []
-    halves = []
-    for length in gap.lengths:
-        h = length // 2
-        halves.append(((0, h), (h, length - h)))
-    for choice in itertools.product((0, 1), repeat=gap.dimension):
-        base = gap.base
-        lengths = []
-        for j, bit in enumerate(choice):
-            start, size = halves[j][bit]
-            base = checked_add(base, gap.steps[j] * start)
-            lengths.append(size)
-        part = Gap(base=base, steps=gap.steps, lengths=tuple(lengths))
-        doubling = Gap(
-            base=checked_add(part.base, part.base),
-            steps=part.steps,
-            lengths=tuple(2 * n - 1 for n in part.lengths),
-        )
-        parts.append(GapSplitPart(gap=part, doubling_proper=is_proper(doubling, budget)))
-    return parts
-
-
 @dataclass(frozen=True)
 class GapNormalization:
     gcd: int
@@ -132,79 +89,6 @@ def gcd_normalize(gap: Gap) -> GapNormalization:
         lengths=gap.lengths,
     )
     return GapNormalization(gcd=g, primed=primed)
-
-
-def residue_count(gap: Gap, l: int) -> int:
-    """#{index tuples x : base + sum step_j x_j == 0 mod l}, by a
-    residue-class dynamic program over the dimensions (O(d*l^2),
-    independent of the box size)."""
-    if l < 1:
-        raise ValueError(f"modulus must be >= 1, got {l}")
-    ways = [0] * l
-    ways[gap.base % l] = 1
-    for step, length in zip(gap.steps, gap.lengths):
-        q, srem = divmod(length, l)
-        # class_count[c] = #{x in [0, length) : x == c mod l}
-        class_count = [q + 1 if c < srem else q for c in range(l)]
-        nxt = [0] * l
-        for r, w in enumerate(ways):
-            if not w:
-                continue
-            for c, cc in enumerate(class_count):
-                if cc:
-                    nxt[(r + step * c) % l] += w * cc
-        ways = nxt
-    return ways[0]
-
-
-@dataclass(frozen=True)
-class ResidueErrorReport:
-    """Report-only comparison of the index-box residue count against the
-    uniform reference box/l; the scale d*box/min(length) is the shape of
-    the error term for proper progressions with proper doubling."""
-
-    count: int
-    reference: float
-    error: float
-    scale: float
-
-    def to_json(self) -> dict:
-        return {
-            "count": self.count,
-            "reference": self.reference,
-            "error": self.error,
-            "scale": self.scale,
-        }
-
-
-def residue_error_report(gap: Gap, l: int) -> ResidueErrorReport:
-    count = residue_count(gap, l)
-    box = gap.index_box_size()
-    reference = box / l
-    return ResidueErrorReport(
-        count=count,
-        reference=reference,
-        error=count - reference,
-        scale=gap.dimension * box / min(gap.lengths),
-    )
-
-
-def ring_solution_count(gap: Gap, l: int) -> int:
-    """Solutions of base + sum step_j x_j == 0 mod l with every x_j ranging
-    over the full residue ring Z/l.
-
-    This count is multiplicative in l; the closed form per prime power m is
-    g * m^(d-1) when g = gcd(steps..., m) divides the base, else 0.
-    """
-    if l < 1:
-        raise ValueError(f"modulus must be >= 1, got {l}")
-    d = gap.dimension
-    total = 1
-    for p, e in _factorize(l):
-        m = p**e
-        g = math.gcd(m, *gap.steps)
-        total *= g * m ** (d - 1) if gap.base % g == 0 else 0
-    return total
 
 
 @dataclass(frozen=True)
@@ -287,43 +171,6 @@ def mobius_identity_check(index_set: IntSet, gap: Gap, l_values: Sequence[int]) 
         transformed = sum(mu[t] * multiples(l * t) for t in range(1, top // l + 1) if mu[t])
         checks.append(MobiusCheck(direct=direct, transformed=transformed, equal=direct == transformed))
     return checks
-
-
-def shrink(gap: Gap, inverse_eps: int) -> Gap:
-    """Divide every side length by the shrink factor, clamped to >= 1."""
-    if inverse_eps < 1:
-        raise ValueError(f"shrink factor must be >= 1, got {inverse_eps}")
-    return Gap(
-        base=gap.base,
-        steps=gap.steps,
-        lengths=tuple(max(1, n // inverse_eps) for n in gap.lengths),
-    )
-
-
-def fix_fiber(gap: Gap, assignments: dict[int, int]) -> Gap:
-    """Substitute fixed index values for some dimensions.
-
-    The fixed contribution folds into the base; at least one free dimension
-    must remain.  Which fiber to fix is the caller's choice.
-    """
-    base = gap.base
-    steps = []
-    lengths = []
-    for j, (step, length) in enumerate(zip(gap.steps, gap.lengths)):
-        if j in assignments:
-            x = assignments[j]
-            if not 0 <= x < length:
-                raise ValueError(f"fiber index {x} outside [0, {length}) in dimension {j}")
-            base = checked_add(base, step * x)
-        else:
-            steps.append(step)
-            lengths.append(length)
-    unknown = set(assignments) - set(range(gap.dimension))
-    if unknown:
-        raise ValueError(f"assignments reference unknown dimensions {sorted(unknown)}")
-    if not steps:
-        raise ValueError("fixing every dimension leaves no progression")
-    return Gap(base=base, steps=tuple(steps), lengths=tuple(lengths))
 
 
 # ---------------------------------------------------------------------------

@@ -119,11 +119,6 @@ def sumset(a: IntSet, b: IntSet) -> IntSet:
     return IntSet(values.tolist())
 
 
-def difference_set(a: IntSet, b: IntSet) -> IntSet:
-    """A - B, via A + (-B)."""
-    return sumset(a, b.negate())
-
-
 def signed_sumset(a: IntSet, n: int, m: int) -> IntSet:
     """nA - mA computed by iterated sumsets; requires n + m >= 1."""
     if n < 0 or m < 0 or n + m < 1:
@@ -288,17 +283,6 @@ def _power_sum(counts: np.ndarray, k: int) -> int:
     return sum(c**k * m for c, m in zip(values.tolist(), mult.tolist()))
 
 
-def shifted_intersection_size(a: IntSet, shifts: Iterable[int]) -> int:
-    """#{x in A : x + s in A for every shift s}."""
-    members = a.as_set()
-    shifts = tuple(shifts)
-    if a:
-        for s in shifts:
-            checked_add(a.min(), s)
-            checked_add(a.max(), s)
-    return sum(1 for x in a if all((x + s) in members for s in shifts))
-
-
 def mixed_energy(a: IntSet, k: int, l: int, budget: int = DEFAULT_WORK_BUDGET) -> int:
     """Mixed moment over (k-1)-tuples of shifts.
 
@@ -367,26 +351,6 @@ def pluennecke_check(a: IntSet, n: int, m: int) -> DoublingCheck:
     return DoublingCheck(lhs=lhs, rhs=rhs, holds=Fraction(lhs) <= rhs)
 
 
-def quadruple_intersection(a: IntSet, alpha: int, beta: int, gamma: int) -> int:
-    """|{x in A : x+alpha, x+beta, x+gamma all in A}| for distinct nonzero
-    shifts."""
-    shifts = (alpha, beta, gamma)
-    if 0 in shifts or len(set(shifts)) != 3:
-        raise ValueError(f"shifts must be distinct and nonzero, got {shifts}")
-    return shifted_intersection_size(a, shifts)
-
-
-def popular_differences(a: IntSet) -> IntSet:
-    """Differences s of A - A with r_{A-A}(s) >= |A|^2 / (4|A-A|).
-
-    The threshold comparison is exact and inclusive: a count exactly on the
-    threshold is kept.
-    """
-    if len(a) == 0:
-        raise ValueError("popular_differences requires a nonempty set")
-    return _popular(*rep_function(a, a, "minus"), len(a))
-
-
 def _popular(values: np.ndarray, counts: np.ndarray, size: int) -> IntSet:
     """The popular differences of a set of the given size, from its r_{A-A}
     as (values, counts).  An integer count c satisfies c >= n^2 / (4|A-A|)
@@ -424,32 +388,3 @@ def popular_energy_sum(a: IntSet, k: int = 3) -> PopularEnergySum:
     reference = float(len(a)) ** (2 * k / (k - 1))
     ratio = total / reference if reference else 0.0
     return PopularEnergySum(popular=p, sum=total, reference=reference, ratio=ratio)
-
-
-def count_difference_triples(a: IntSet) -> int:
-    """#{(x, y) in D^2 : x - y in D} with D = A - A.
-
-    Reported raw; callers comparing against |D|^(2-c) supply their own c.
-    """
-    d = difference_set(a, a)
-    values, counts = rep_function(d, d, "minus")
-    return int(counts[np.isin(values, d.elements)].sum())
-
-
-def structure_ratios(a: IntSet) -> dict:
-    """On-demand report of the derived ratios K = |A|^3/E(A) and
-    M = E_4(A) K^3 / |A|^5, as exact fractions."""
-    if len(a) == 0:
-        raise ValueError("structure_ratios requires a nonempty set")
-    e2 = energy(a, a)
-    e4 = higher_energy(a, 4)
-    n = len(a)
-    big_k = Fraction(n**3, e2)
-    big_m = Fraction(e4) * big_k**3 / Fraction(n**5)
-    return {
-        "size": n,
-        "energy": e2,
-        "energy4": e4,
-        "K": f"{big_k.numerator}/{big_k.denominator}",
-        "M": f"{big_m.numerator}/{big_m.denominator}",
-    }

@@ -96,6 +96,8 @@ def kth_powers_in(lo: int, hi: int, k: int) -> IntSet:
 
 def count_in_ap(k: int, p: int, r: int, n: int) -> int:
     """Number of j in [0, n) for which p + r*j is a perfect k-th power."""
+    if k < 2:
+        raise ValueError(f"power order must be >= 2, got {k}")
     if r < 1:
         raise ValueError(f"step must be >= 1, got {r}")
     if n < 1:
@@ -340,6 +342,8 @@ def scan_gap(k: int, gap: Gap, budget: int = DEFAULT_ENUM_BUDGET) -> GapScan:
     conditional multidimensional trend denominator; report only, improper
     progressions are counted over their value set like any other.
     """
+    if k < 2:
+        raise ValueError(f"power order must be >= 2, got {k}")
     values = enumerate_gap(gap, budget)
     count = sum(1 for v in values if is_kth_power(v, k))
     h = len(values)

@@ -263,41 +263,6 @@ def holder_chain_check(matching: Matching) -> HolderCheck:
     return HolderCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs, cubic_ratio=ratio)
 
 
-@dataclass(frozen=True)
-class CompleteBipartiteReport:
-    """Largest K_{c,t} present, reported instead of asserting freeness."""
-
-    t: int
-    max_left: int
-    right_witness: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {"t": self.t, "max_left": self.max_left, "right_witness": list(self.right_witness)}
-
-
-def max_complete_bipartite(
-    graph: BipartiteGraph, t: int = 3, budget: int = DEFAULT_KST_BUDGET
-) -> CompleteBipartiteReport:
-    """Largest c such that some t right vertices have c common left
-    neighbors (a K_{c,t})."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    right = sorted(graph.right)
-    if len(right) < t:
-        return CompleteBipartiteReport(t=t, max_left=0, right_witness=())
-    if math.comb(len(right), t) > budget:
-        raise BudgetExceededError(f"C({len(right)}, {t}) exceeds budget {budget}")
-    adj = graph.right_adjacency()
-    best = 0
-    witness: tuple[int, ...] = ()
-    for subset in itertools.combinations(right, t):
-        common = set.intersection(*(adj[v] for v in subset))
-        if len(common) > best:
-            best = len(common)
-            witness = subset
-    return CompleteBipartiteReport(t=t, max_left=best, right_witness=witness)
-
-
 # ---------------------------------------------------------------------------
 # extremal search
 # ---------------------------------------------------------------------------
@@ -368,6 +333,8 @@ def extremal_search(
     """
     if n < 1:
         raise ValueError(f"matching size must be >= 1, got {n}")
+    if box < 0 or iterations < 0:
+        raise ValueError(f"box and iterations must be >= 0, got box={box}, iterations={iterations}")
     universe = [(a, b) for a in range(-box, box + 1) for b in range(-box, box + 1)]
     if len(universe) < n:
         raise ValueError(f"box [-{box}, {box}]^2 holds fewer than {n} pairs")

@@ -2,7 +2,6 @@
 oracle per counted quantity, which the production kernels are compared
 against."""
 
-import itertools
 import math
 import random
 
@@ -33,26 +32,6 @@ def rep_dict(rep):
 def naive_count_solutions(a, c, points):
     """#{(x, v, (b, d)) in A x C x L : x = b*v + d} by a triple loop."""
     return sum(1 for x in a for v in c for b, d in points if x == b * v + d)
-
-
-def naive_residue_count(gap, l):
-    """#{x in the index box : base + sum step_j x_j == 0 mod l}, walking
-    the whole box."""
-    return sum(
-        1
-        for idx in itertools.product(*(range(n) for n in gap.lengths))
-        if (gap.base + sum(s * x for s, x in zip(gap.steps, idx))) % l == 0
-    )
-
-
-def naive_ring_solution_count(gap, l):
-    """Solutions of base + sum step_j x_j == 0 mod l with every x_j over
-    the whole ring Z/l, walking all l^d tuples."""
-    return sum(
-        1
-        for idx in itertools.product(range(l), repeat=gap.dimension)
-        if (gap.base + sum(s * x for s, x in zip(gap.steps, idx))) % l == 0
-    )
 
 
 def naive_clique_search(height, size):

@@ -330,6 +330,11 @@ def test_clique_max_results_zero_and_negative(capsys, monkeypatch, tmp_path):
     ("mobius-check", "--i-set", "[1,2]", "--gap", '{"base":1,"steps":[2],"lengths":[9]}', "--l", "0"),
     ("inclusion-check", "--set", "[0,1]", "--z", "[1]", "--d", "1", "--l", "3"),
     ("popular", "--set", "[0,1]", "--k", "0"),
+    ("scan-ap", "--k", "1", "--p", "1", "--r", "1", "--n", "5"),
+    ("scan-ap", "--k", "0", "--p", "1", "--r", "1", "--n", "5"),
+    ("scan-gap", "--k", "1", "--gap", '{"base":1,"steps":[2],"lengths":[9]}'),
+    ("extremal", "--n", "2", "--iterations", "-5"),
+    ("extremal", "--n", "2", "--box", "-1"),
 ])
 def test_usage_error_prints_no_header_and_creates_no_store(capsys, monkeypatch, tmp_path, argv):
     code, out = run_cli(capsys, monkeypatch, tmp_path, *argv)

@@ -13,10 +13,9 @@ from addcomb import (
     genus,
     pair_square_edges,
     point_search,
-    probe_quadruple_family,
     square_sum_clique_search,
 )
-from addcomb.curves import is_squarefree, quadruple_curve
+from addcomb.curves import census_from_counts, is_squarefree, quadruple_counts, quadruple_curve
 from conftest import naive_clique_search
 
 QUINTIC = CurveSpec(2, (120, 274, 225, 85, 15, 1))  # (x+1)(x+2)(x+3)(x+4)(x+5)
@@ -129,17 +128,22 @@ def test_point_search_overflow_names_x():
 # ---------------------------------------------------------------------------
 
 
+def probe(alpha_lo, alpha_hi, height):
+    """The census of the probe-quadruples command."""
+    return census_from_counts(quadruple_counts(alpha_lo, alpha_hi, height), height, alpha_lo, alpha_hi)
+
+
 def test_probe_quadruple_family_small():
-    census = probe_quadruple_family(2, 5, 100)
+    census = probe(2, 5, 100)
     assert census.triples_total == 4  # C(4, 3) from {2,3,4,5}
     assert sum(census.histogram.values()) == census.triples_total
     # (3, 4, 5)? no: triples from {2,3,4,5}; check a known member (3,8,15) needs wider range
-    wide = probe_quadruple_family(3, 15, 40)
+    wide = probe(3, 15, 40)
     assert wide.max_count >= 4  # (3,8,15) has (+-1, +-24)
 
 
 def test_probe_quadruple_family_all_negative_far():
-    census = probe_quadruple_family(-5, -3, 1)
+    census = probe(-5, -3, 1)
     # x^2 + alpha < 0 for |x| <= 1, product of three negatives is negative
     assert census.histogram == {0: 1}
     assert census.max_count == 0
@@ -147,16 +151,16 @@ def test_probe_quadruple_family_all_negative_far():
 
 def test_probe_budget():
     with pytest.raises(BudgetExceededError):
-        probe_quadruple_family(-10, 10, 1000, budget=1000)
+        quadruple_counts(-10, 10, 1000, budget=1000)
 
 
 def test_quadruple_counts_match_census():
-    from addcomb.curves import census_from_counts, quadruple_counts
-
     counts = quadruple_counts(2, 6, 50)
-    census = probe_quadruple_family(2, 6, 50)
-    assert census == census_from_counts(counts, 50, 2, 6)
+    census = probe(2, 6, 50)
     assert len(counts) == census.triples_total
+    assert census.histogram == {c: sum(1 for _, n in counts if n == c) for _, c in counts}
+    assert census.max_count == max(c for _, c in counts)
+    assert census.argmax == tuple(t for t, c in counts if c == census.max_count)
     for triple, count in counts:
         assert count == len(point_search(quadruple_curve(*triple), 50, "integer"))
 

@@ -8,19 +8,12 @@ from addcomb import (
     Gap,
     IntSet,
     enumerate_gap,
-    fix_fiber,
     gcd_normalize,
-    is_proper,
     mobius,
     mobius_identity_check,
-    residue_count,
-    ring_solution_count,
-    shrink,
-    split_for_double_properness,
     stratify,
 )
 from addcomb import gaps
-from conftest import naive_residue_count, naive_ring_solution_count
 
 
 def random_gap(rng: random.Random, max_dim: int = 3, max_box: int = 200) -> Gap:
@@ -52,39 +45,6 @@ def test_enumerate_budget():
         enumerate_gap(Gap(0, (1, 1000), (5000, 5000)), budget=1 << 20)
 
 
-def test_is_proper_examples():
-    assert is_proper(Gap(0, (1, 10), (3, 2)))
-    assert not is_proper(Gap(0, (1, 2), (3, 3)))
-    rng = random.Random(3)
-    for _ in range(20):
-        step = rng.choice([-7, -2, 1, 3, 11])
-        ap = Gap(rng.randint(-5, 5), (step,), (rng.randint(1, 50),))
-        assert is_proper(ap)  # one dimension is always proper
-
-
-def test_split_examples():
-    parts = split_for_double_properness(Gap(0, (1,), (10,)))
-    assert [p.gap.lengths for p in parts] == [(5,), (5,)]
-    assert [p.gap.base for p in parts] == [0, 5]
-
-    g = Gap(0, (1, 10), (4, 4))
-    parts = split_for_double_properness(g)
-    assert len(parts) == 4
-    assert all(p.doubling_proper for p in parts)
-    union = set()
-    for p in parts:
-        union |= set(enumerate_gap(p.gap))
-    assert IntSet(union) == enumerate_gap(g)
-
-
-def test_split_union_covers_improper_too():
-    g = Gap(0, (1, 2), (3, 3))
-    union = set()
-    for p in split_for_double_properness(g):
-        union |= set(enumerate_gap(p.gap))
-    assert IntSet(union) == enumerate_gap(g)
-
-
 def test_gcd_normalize_examples():
     norm = gcd_normalize(Gap(6, (4, 10), (2, 2)))
     assert norm.gcd == 2
@@ -92,46 +52,6 @@ def test_gcd_normalize_examples():
     ident = gcd_normalize(Gap(3, (2, 5), (2, 2)))
     assert ident.gcd == 1 and ident.primed == Gap(3, (2, 5), (2, 2))
     assert gcd_normalize(Gap(0, (15, 25), (2, 2))).gcd == 5
-
-
-def test_residue_count_examples():
-    assert residue_count(Gap(0, (1,), (10,)), 2) == 5
-    assert residue_count(Gap(1, (2,), (10,)), 2) == 0
-    assert residue_count(Gap(1, (24,), (8,)), 5) == 2
-    assert naive_residue_count(Gap(1, (24,), (8,)), 5) == 2
-
-
-def test_residue_count_fast_agrees_with_direct():
-    rng = random.Random(17)
-    for _ in range(25):
-        g = random_gap(rng)
-        for l in (1, 2, 3, 5, 7, 12, 97, 1000):
-            assert residue_count(g, l) == naive_residue_count(g, l), (g, l)
-
-
-def test_residue_count_exact_identity_when_lengths_divisible():
-    # when l divides every side, the box count is |box| * g * [g | base] / l
-    rng = random.Random(5)
-    for _ in range(20):
-        d = rng.randint(1, 3)
-        l = rng.choice([2, 3, 4, 6])
-        steps = tuple(rng.choice([-9, -4, 2, 3, 5, 8, 12]) for _ in range(d))
-        lengths = tuple(l * rng.randint(1, 4) for _ in range(d))
-        g = Gap(rng.randint(-10, 10), steps, lengths)
-        gg = math.gcd(l, *steps)
-        expected = math.prod(lengths) * gg // l if g.base % gg == 0 else 0
-        assert residue_count(g, l) == expected
-
-
-def test_ring_solution_count_multiplicative():
-    rng = random.Random(29)
-    for _ in range(20):
-        g = random_gap(rng, max_dim=2)
-        for l in (1, 2, 6, 12, 30):
-            assert ring_solution_count(g, l) == naive_ring_solution_count(g, l)
-    # multiplicativity across coprime moduli
-    g = Gap(3, (4, 6), (5, 5))
-    assert ring_solution_count(g, 35) == ring_solution_count(g, 5) * ring_solution_count(g, 7)
 
 
 def test_stratify_examples():
@@ -227,38 +147,6 @@ def test_mobius_identity_random():
                 1 for i in i_set for h in values if math.gcd(i, h) == l
             )
             assert check.direct == brute
-
-
-def test_residue_error_report_fields():
-    from addcomb.gaps import residue_error_report
-
-    g = Gap(0, (1, 10), (10, 10))  # proper, with proper doubling
-    report = residue_error_report(g, 4)
-    assert report.count == residue_count(g, 4)
-    assert report.reference == 100 / 4
-    assert report.error == report.count - report.reference
-    assert report.scale == 2 * 100 / 10
-    # report only: on this benign instance the error is small, but nothing
-    # beyond field consistency is asserted in general
-    assert abs(report.error) <= report.scale
-
-
-def test_shrink_examples():
-    g = Gap(0, (1, 2), (100, 60))
-    assert shrink(g, 10).lengths == (10, 6)
-    assert shrink(g, 1) == g
-    assert shrink(g, 1000).lengths == (1, 1)
-
-
-def test_fix_fiber():
-    g = Gap(1, (2, 100), (5, 4))
-    fixed = fix_fiber(g, {1: 3})
-    assert fixed == Gap(301, (2,), (5,))
-    assert enumerate_gap(fixed).as_set() <= enumerate_gap(g).as_set()
-    with pytest.raises(ValueError):
-        fix_fiber(g, {0: 0, 1: 0})
-    with pytest.raises(ValueError):
-        fix_fiber(g, {1: 9})
 
 
 def test_partition_property_and_counts_by_class():

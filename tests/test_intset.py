@@ -13,18 +13,13 @@ from addcomb import (
     BudgetExceededError,
     IntegerOverflowError,
     IntSet,
-    count_difference_triples,
-    difference_set,
     energy,
     higher_energy,
     mixed_energy,
     pluennecke_check,
-    popular_differences,
     popular_energy_sum,
-    quadruple_intersection,
     rep_function,
     signed_sumset,
-    structure_ratios,
     sumset,
 )
 from addcomb import intset
@@ -128,13 +123,14 @@ def test_sumsets_at_int64_ends_match_oracle(monkeypatch, window):
         assert sums == IntSet({x + y for x in a for y in b})
         assert (INT64_MAX in sums, INT64_MIN in sums) == (at_max, at_min)
         neg_b = b.negate()
-        assert difference_set(a, neg_b) == IntSet({x - y for x in a for y in neg_b})
+        minus, _ = rep_function(a, neg_b, "minus")
+        assert IntSet(minus.tolist()) == IntSet({x - y for x in a for y in neg_b})
         # one more unit on the touched end is past it
         past = IntSet([b.max() + 1] if at_max else [b.min() - 1])
         with pytest.raises(IntegerOverflowError):
             sumset(a, past)
         with pytest.raises(IntegerOverflowError):
-            difference_set(a, past.negate())
+            rep_function(a, past.negate(), "minus")
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +195,7 @@ def test_windowed_kernel_matches_naive_over_many_windows(monkeypatch, window):
         assert higher_energy(a, 3) == sum(c**3 for c in naive_rep(a, a, "minus").values())
         if not a:
             continue
-        # P - P and D - D leave signed 64-bit for the sets near +-2^62
+        # P - P leaves signed 64-bit for the sets near +-2^62
         diffs = naive_rep(a, a, "minus")
         p = popular_oracle(a)
         if p.max() - p.min() <= INT64_MAX:
@@ -208,11 +204,6 @@ def test_windowed_kernel_matches_naive_over_many_windows(monkeypatch, window):
         else:
             with pytest.raises(IntegerOverflowError):
                 popular_energy_sum(a)
-        if max(diffs) - min(diffs) <= INT64_MAX:
-            assert count_difference_triples(a) == triples_oracle(a)
-        else:
-            with pytest.raises(IntegerOverflowError):
-                count_difference_triples(a)
 
 
 def test_higher_energy_past_int64():
@@ -304,33 +295,6 @@ def test_pluennecke_always_holds(a, n, m):
 
 
 # ---------------------------------------------------------------------------
-# quadruple intersections
-# ---------------------------------------------------------------------------
-
-
-def test_quadruple_intersection_examples():
-    assert quadruple_intersection(IntSet([0, 1, 2, 3]), 1, 2, 3) == 1
-    squares = IntSet([m * m for m in range(1, 1001)])
-    # exhaustive scan: x, x+3, x+8, x+15 all square only at x = 1
-    expected = sum(
-        1
-        for m in range(1, 1001)
-        if all(v in squares.as_set() for v in (m * m + 3, m * m + 8, m * m + 15))
-    )
-    assert expected == 1
-    assert quadruple_intersection(squares, 3, 8, 15) == expected
-    assert quadruple_intersection(IntSet([0, 1]), 100, 200, 300) == 0
-
-
-def test_quadruple_intersection_preconditions():
-    a = IntSet([0, 1, 2])
-    with pytest.raises(ValueError):
-        quadruple_intersection(a, 0, 1, 2)
-    with pytest.raises(ValueError):
-        quadruple_intersection(a, 1, 1, 2)
-
-
-# ---------------------------------------------------------------------------
 # popular differences
 # ---------------------------------------------------------------------------
 
@@ -342,21 +306,26 @@ def popular_oracle(a):
     return IntSet(s for s, c in hist.items() if 4 * d * c >= n2)
 
 
+def popular(a):
+    return popular_energy_sum(a).popular
+
+
 def test_popular_differences_examples():
-    assert popular_differences(IntSet([0, 1])) == IntSet([-1, 0, 1])
+    assert popular(IntSet([0, 1])) == IntSet([-1, 0, 1])
     for length in range(2, 10):
         ap = IntSet(range(length))
-        assert popular_differences(ap) == popular_oracle(ap)
+        assert popular(ap) == popular_oracle(ap)
     # short progressions keep every difference popular, longer ones do not
-    assert popular_differences(IntSet(range(7))) == difference_set(IntSet(range(7)), IntSet(range(7)))
-    assert popular_differences(IntSet(range(9))) != difference_set(IntSet(range(9)), IntSet(range(9)))
-    assert popular_differences(IntSet([42])) == IntSet([0])
+    ap7, ap9 = IntSet(range(7)), IntSet(range(9))
+    assert popular(ap7) == sumset(ap7, ap7.negate())
+    assert popular(ap9) != sumset(ap9, ap9.negate())
+    assert popular(IntSet([42])) == IntSet([0])
 
 
 def test_popular_threshold_tie_included():
     # |A| = 2, D = {-1, 0, 1}: threshold 4/12 = 1/3, extreme counts are 1 >= 1/3
     a = IntSet([0, 1])
-    assert popular_differences(a) == IntSet([-1, 0, 1])
+    assert popular(a) == IntSet([-1, 0, 1])
 
 
 def test_popular_energy_sum_examples():
@@ -365,28 +334,10 @@ def test_popular_energy_sum_examples():
     squares = IntSet([m * m for m in range(1, 51)])
     result = popular_energy_sum(squares, 5)
     p = popular_oracle(squares)
-    d = difference_set(squares, squares)
+    d = sumset(squares, squares.negate())
     pp = naive_rep(p, p, "minus")
     assert result.sum == sum(pp.get(x, 0) for x in d)
     assert result.reference == pytest.approx(50 ** 2.5)
-
-
-# ---------------------------------------------------------------------------
-# difference triple counting
-# ---------------------------------------------------------------------------
-
-
-def triples_oracle(a):
-    d = sorted(naive_rep(a, a, "minus"))
-    ds = set(d)
-    return sum(1 for x in d for y in d if (x - y) in ds)
-
-
-def test_count_difference_triples_examples():
-    assert count_difference_triples(IntSet([0, 1])) == 7
-    assert count_difference_triples(IntSet([3])) == 1
-    squares = IntSet([m * m for m in range(1, 31)])
-    assert count_difference_triples(squares) == triples_oracle(squares)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +364,3 @@ def test_fourth_moment_splits_into_distinct_and_cross_terms():
             if 0 in key or len(set(key)) != 3
         )
         assert higher_energy(a, 4) == distinct_nonzero + cross
-
-
-def test_structure_ratios():
-    report = structure_ratios(IntSet([0, 1, 3]))
-    assert report["energy"] == higher_energy(IntSet([0, 1, 3]), 2)
-    num, den = map(int, report["K"].split("/"))
-    assert Fraction(num, den) == Fraction(27, report["energy"])

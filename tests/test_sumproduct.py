@@ -12,7 +12,6 @@ from addcomb import (
     holder_chain_check,
     kst_bound,
     kst_free,
-    max_complete_bipartite,
     sp_graph,
     sums_products,
 )
@@ -170,14 +169,6 @@ def test_holder_chain_check():
         assert holder_chain_check(m).holds
 
 
-def test_max_complete_bipartite_report():
-    complete = graph_from_edges([(a, b) for a in (1, 2, 3) for b in (10, 20, 30)])
-    report = max_complete_bipartite(complete, 3)
-    assert report.max_left == 3 and report.right_witness == (10, 20, 30)
-    thin = graph_from_edges([(0, 10), (1, 11)])
-    assert max_complete_bipartite(thin, 3).max_left == 0
-
-
 # ---------------------------------------------------------------------------
 # extremal search
 # ---------------------------------------------------------------------------
@@ -197,6 +188,11 @@ def exhaustive_best_score(n, box):
 
 def test_extremal_trivial():
     assert extremal_search(1).score == 2
+
+
+def test_extremal_rejects_negative_box():
+    with pytest.raises(ValueError, match="box and iterations must be >= 0"):
+        extremal_search(2, box=-1)
 
 
 def test_extremal_exhaustive_matches_oracle():
