@@ -215,7 +215,7 @@ def _clique(args):
     cliques = curves.square_sum_clique_search(args.height, args.size, args.max_results)
     yield {"height": args.height, "size": args.size, "max_results": args.max_results}
     for clique in cliques:
-        yield {"type": "clique", "members": clique.to_json()}
+        yield {"type": "clique", "members": list(clique)}
     yield {"type": "clique_summary", "count": len(cliques)}
 
 

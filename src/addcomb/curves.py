@@ -22,6 +22,8 @@ from .powers import is_kth_power, kth_power_root
 
 DEFAULT_PROBE_BUDGET = 1 << 26
 DEFAULT_CLIQUE_NODE_BUDGET = 1 << 22
+# Most triples of the largest count that a census lists.
+ARGMAX_CAP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +295,6 @@ def quadruple_counts(
     alpha_lo: int,
     alpha_hi: int,
     height: int,
-    budget: int = DEFAULT_PROBE_BUDGET,
 ) -> list[tuple[tuple[int, int, int], int]]:
     """Integer-point count per admissible shift triple.
 
@@ -304,8 +305,8 @@ def quadruple_counts(
     values = [v for v in range(alpha_lo, alpha_hi + 1) if v != 0]
     triples = list(itertools.combinations(values, 3))
     work = len(triples) * (2 * height + 1)
-    if work > budget:
-        raise BudgetExceededError(f"{work} evaluations exceed probe budget {budget}")
+    if work > DEFAULT_PROBE_BUDGET:
+        raise BudgetExceededError(f"{work} evaluations exceed probe budget {DEFAULT_PROBE_BUDGET}")
     return [
         (triple, len(point_search(quadruple_curve(*triple), height, "integer")))
         for triple in triples
@@ -317,7 +318,6 @@ def census_from_counts(
     height: int,
     alpha_lo: int,
     alpha_hi: int,
-    argmax_cap: int = 16,
 ) -> QuadrupleCensus:
     histogram: dict[int, int] = {}
     max_count = -1
@@ -327,7 +327,7 @@ def census_from_counts(
         if count > max_count:
             max_count = count
             argmax = [triple]
-        elif count == max_count and len(argmax) < argmax_cap:
+        elif count == max_count and len(argmax) < ARGMAX_CAP:
             argmax.append(triple)
     return QuadrupleCensus(
         height=height,
@@ -336,7 +336,7 @@ def census_from_counts(
         triples_total=len(counts),
         histogram=histogram,
         max_count=max(max_count, 0),
-        argmax=tuple(argmax[:argmax_cap]),
+        argmax=tuple(argmax[:ARGMAX_CAP]),
     )
 
 
@@ -349,22 +349,22 @@ def square_sum_clique_search(
     height: int,
     target_size: int,
     max_results: int | None = None,
-    node_budget: int = DEFAULT_CLIQUE_NODE_BUDGET,
-) -> list[IntSet]:
+) -> list[tuple[int, ...]]:
     """All target-size subsets of [1, height] whose pairwise sums are all
-    perfect squares, sorted (smallest element first, then lexicographic).
-    An optional cap keeps only the first max_results of them.
+    perfect squares, as increasing tuples, sorted (smallest element first,
+    then lexicographic).  An optional cap keeps only the first max_results
+    of them.
 
     Size 3 uses Euler's parametrization: a + b = s^2, a + c = t^2 and
     b + c = u^2 with s < t < u give a = (s^2 + t^2 - u^2)/2,
     b = (s^2 - t^2 + u^2)/2 and c = (t^2 + u^2 - s^2)/2, so every triple
     comes from one (s, t, u) and no power test is run.  A larger clique
     extends a smaller one by a common third element of its two smallest
-    members.  node_budget bounds the work, and with it the memory: each
-    (t, u) pair, each triple, each size-2 pair and each extension
-    candidate counts one.  Size 2 stops listing pairs at the cap; larger
-    sizes enumerate every clique before the cap applies, so the budget
-    covers the full enumeration whatever the cap.
+    members.  DEFAULT_CLIQUE_NODE_BUDGET bounds the work, and with it the
+    memory: each (t, u) pair, each triple, each size-2 pair and each
+    extension candidate counts one.  Size 2 stops listing pairs at the
+    cap; larger sizes enumerate every clique before the cap applies, so
+    the budget covers the full enumeration whatever the cap.
     """
     if target_size < 2:
         raise ValueError(f"target size must be >= 2, got {target_size}")
@@ -377,8 +377,8 @@ def square_sum_clique_search(
     def spend(amount: int) -> None:
         nonlocal work
         work += amount
-        if work > node_budget:
-            raise BudgetExceededError(f"clique search exceeded node budget {node_budget}")
+        if work > DEFAULT_CLIQUE_NODE_BUDGET:
+            raise BudgetExceededError(f"clique search exceeded node budget {DEFAULT_CLIQUE_NODE_BUDGET}")
 
     if target_size == 2:
         # pairs come sorted, so a cap stops the listing; one pair over the
@@ -388,14 +388,14 @@ def square_sum_clique_search(
             for a in range(1, height + 1)
             for s in range(math.isqrt(2 * a) + 1, math.isqrt(a + height) + 1)
         )
-        limit = node_budget + 1 if max_results is None else min(max_results, node_budget + 1)
-        cliques = list(itertools.islice(pairs, limit))
+        limit = DEFAULT_CLIQUE_NODE_BUDGET + 1
+        cliques = list(itertools.islice(pairs, limit if max_results is None else min(max_results, limit)))
         spend(len(cliques))
     else:
         cliques = sorted(_square_triples(height, spend))
         if target_size > 3:
             cliques = _extend_cliques(cliques, target_size, height, spend)
-    return [IntSet(c) for c in cliques[:max_results]]
+    return cliques[:max_results]
 
 
 def _extend_cliques(triples, target_size: int, height: int, spend) -> list[tuple[int, ...]]:

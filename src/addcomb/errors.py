@@ -12,8 +12,9 @@ class IntegerOverflowError(OverflowError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A configured work budget (enumeration size, pair count, scan cells,
-    tuple iterations) would be exceeded."""
+    """A work limit, one of the modules' DEFAULT_*_BUDGET constants
+    (enumeration size, pair count, scan cells, tuple iterations), would be
+    exceeded."""
 
 
 class UnsupportedCurveError(ValueError):

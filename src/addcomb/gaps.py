@@ -63,11 +63,11 @@ class Gap:
         return cls(base=data["base"], steps=tuple(data["steps"]), lengths=tuple(data["lengths"]))
 
 
-def enumerate_gap(gap: Gap, budget: int = DEFAULT_ENUM_BUDGET) -> IntSet:
+def enumerate_gap(gap: Gap) -> IntSet:
     """The deduplicated value set of the progression."""
     size = gap.index_box_size()
-    if size > budget:
-        raise BudgetExceededError(f"index box size {size} exceeds enumeration budget {budget}")
+    if size > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceededError(f"index box size {size} exceeds enumeration budget {DEFAULT_ENUM_BUDGET}")
     values = {gap.base}
     for step, length in zip(gap.steps, gap.lengths):
         values = {v + step * x for v in values for x in range(length)}
@@ -102,24 +102,16 @@ class Stratification:
     def total(self) -> int:
         return sum(self.classes.values())
 
-    def to_json(self) -> dict:
-        return {"gcd": self.gcd, "classes": {str(l): c for l, c in sorted(self.classes.items())}}
 
-
-def stratify(
-    index_set: IntSet,
-    gap: Gap,
-    pairs_budget: int = DEFAULT_PAIR_BUDGET,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
-) -> Stratification:
+def stratify(index_set: IntSet, gap: Gap) -> Stratification:
     """Split I x H'' into gcd classes, H'' the gcd-normalized value set."""
     if len(index_set) == 0 or index_set.min() < 1:
         raise ValueError("index set must consist of positive integers")
     norm = gcd_normalize(gap)
-    values = enumerate_gap(norm.primed, enum_budget)
+    values = enumerate_gap(norm.primed)
     pairs = len(index_set) * len(values)
-    if pairs > pairs_budget:
-        raise BudgetExceededError(f"{pairs} pairs exceed stratification budget {pairs_budget}")
+    if pairs > DEFAULT_PAIR_BUDGET:
+        raise BudgetExceededError(f"{pairs} pairs exceed stratification budget {DEFAULT_PAIR_BUDGET}")
     classes: dict[int, int] = {}
     for i in index_set:
         for h in values.elements:

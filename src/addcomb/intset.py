@@ -103,10 +103,6 @@ class IntSet:
     def to_json(self) -> list[int]:
         return list(self._elements)
 
-    @classmethod
-    def from_json(cls, data: Iterable[int]) -> "IntSet":
-        return cls(data)
-
 
 # ---------------------------------------------------------------------------
 # sumsets
@@ -283,22 +279,22 @@ def _power_sum(counts: np.ndarray, k: int) -> int:
     return sum(c**k * m for c, m in zip(values.tolist(), mult.tolist()))
 
 
-def mixed_energy(a: IntSet, k: int, l: int, budget: int = DEFAULT_WORK_BUDGET) -> int:
+def mixed_energy(a: IntSet, k: int, l: int) -> int:
     """Mixed moment over (k-1)-tuples of shifts.
 
     Sums |A meet (A+s_1) meet ... meet (A+s_{k-1})|^l over every realizable
     shift tuple.  Tuples are generated from A^k directly (each k-tuple of
     elements realizes exactly one shift tuple), so only nonempty
     intersections are ever touched; cost is |A|^k tuple visits, guarded by
-    the work budget.
+    DEFAULT_WORK_BUDGET.
     """
     if k < 2 or l < 2:
         raise ValueError(f"moment orders must be >= 2, got k={k}, l={l}")
     n = len(a)
     if n == 0:
         return 0
-    if n**k > budget:
-        raise BudgetExceededError(f"|A|^k = {n}^{k} exceeds work budget {budget}")
+    if n**k > DEFAULT_WORK_BUDGET:
+        raise BudgetExceededError(f"|A|^k = {n}^{k} exceeds work budget {DEFAULT_WORK_BUDGET}")
     elements = a.elements
     # differences of in-range elements must themselves stay in range
     checked_sub(a.max(), a.min())

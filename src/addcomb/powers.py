@@ -22,7 +22,7 @@ import numpy as np
 
 from .checked import check_int64, checked_mul
 from .errors import BudgetExceededError
-from .gaps import DEFAULT_ENUM_BUDGET, Gap, enumerate_gap
+from .gaps import Gap, enumerate_gap
 from .intset import IntSet, energy, signed_sumset
 
 DEFAULT_SCAN_BUDGET = 1 << 28
@@ -250,7 +250,6 @@ def qk_oracle(
     n: int,
     pmax: int,
     rmax: int,
-    budget: int = DEFAULT_SCAN_BUDGET,
     resume: ScanFrontier | None = None,
     checkpoint: Callable[[ScanFrontier], None] | None = None,
     checkpoint_every: int = CHECKPOINT_EVERY,
@@ -270,8 +269,8 @@ def qk_oracle(
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint interval must be >= 1, got {checkpoint_every}")
     cells = (pmax + 1) * rmax
-    if cells * n > budget:
-        raise BudgetExceededError(f"{cells} cells x n={n} exceeds scan budget {budget}")
+    if cells * n > DEFAULT_SCAN_BUDGET:
+        raise BudgetExceededError(f"{cells} cells x n={n} exceeds scan budget {DEFAULT_SCAN_BUDGET}")
     table = np.array(kth_powers_in(0, pmax + rmax * (n - 1), k).elements, dtype=np.int64)
     rows = max(1, min(TILE_CELLS, checkpoint_every) // (pmax + 1))
     # the first cell (r=1, p=0) always beats the sentinel, so the witness is
@@ -335,7 +334,7 @@ class GapScan:
         }
 
 
-def scan_gap(k: int, gap: Gap, budget: int = DEFAULT_ENUM_BUDGET) -> GapScan:
+def scan_gap(k: int, gap: Gap) -> GapScan:
     """Count k-th powers in the progression's value set.
 
     bound_ratio divides the count by 8^d * |H|^(3/4 - 3/(32d+4)), the
@@ -344,7 +343,7 @@ def scan_gap(k: int, gap: Gap, budget: int = DEFAULT_ENUM_BUDGET) -> GapScan:
     """
     if k < 2:
         raise ValueError(f"power order must be >= 2, got {k}")
-    values = enumerate_gap(gap, budget)
+    values = enumerate_gap(gap)
     count = sum(1 for v in values if is_kth_power(v, k))
     h = len(values)
     d = gap.dimension
@@ -407,16 +406,14 @@ class InclusionCheck:
         }
 
 
-def multiplicative_inclusion_check(
-    a: IntSet, z: IntSet, d: int, l: int, budget: int = DEFAULT_INCLUSION_BUDGET
-) -> InclusionCheck:
+def multiplicative_inclusion_check(a: IntSet, z: IntSet, d: int, l: int) -> InclusionCheck:
     """Check [1, d^l] * Z inside 2A - 2A, listing up to ten failing products."""
     if d < 2 or l < 1:
         raise ValueError(f"need d >= 2 and l >= 1, got d={d}, l={l}")
     m_max = d**l
     work = m_max * len(z)
-    if work > budget:
-        raise BudgetExceededError(f"{work} products exceed inclusion budget {budget}")
+    if work > DEFAULT_INCLUSION_BUDGET:
+        raise BudgetExceededError(f"{work} products exceed inclusion budget {DEFAULT_INCLUSION_BUDGET}")
     if z:
         checked_mul(m_max, z.max())
         checked_mul(m_max, z.min())

@@ -74,13 +74,6 @@ class BipartiteGraph:
             adj[s].add(p)
         return adj
 
-    def to_json(self) -> dict:
-        return {
-            "left": sorted(self.left),
-            "right": sorted(self.right),
-            "edges": sorted([list(e) for e in self.edges]),
-        }
-
 
 @dataclass(frozen=True)
 class SumsProducts:
@@ -131,9 +124,7 @@ def sp_graph(matching: Matching) -> BipartiteGraph:
 # ---------------------------------------------------------------------------
 
 
-def find_kst(
-    graph: BipartiteGraph, s: int, t: int, budget: int = DEFAULT_KST_BUDGET
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+def find_kst(graph: BipartiteGraph, s: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """A K_{s,t} witness (s left vertices, t right vertices), or None.
 
     Walks t-subsets of left neighborhoods, counting how many left vertices
@@ -150,8 +141,8 @@ def find_kst(
         if len(nbrs) < t:
             continue
         work += math.comb(len(nbrs), t)
-        if work > budget:
-            raise BudgetExceededError(f"K_st search exceeded budget {budget}")
+        if work > DEFAULT_KST_BUDGET:
+            raise BudgetExceededError(f"K_st search exceeded budget {DEFAULT_KST_BUDGET}")
         for subset in itertools.combinations(nbrs, t):
             seen[subset] = seen.get(subset, 0) + 1
             if seen[subset] >= s:
@@ -163,11 +154,11 @@ def find_kst(
     return None
 
 
-def kst_free(graph: BipartiteGraph, s: int, t: int, budget: int = DEFAULT_KST_BUDGET) -> bool:
+def kst_free(graph: BipartiteGraph, s: int, t: int) -> bool:
     """True iff the graph contains no complete K_{s,t} (s left, t right)."""
     if s > 6 or t > 6:
         raise ValueError(f"sides above 6 not supported (got s={s}, t={t})")
-    return find_kst(graph, s, t, budget) is None
+    return find_kst(graph, s, t) is None
 
 
 @dataclass(frozen=True)
@@ -320,16 +311,15 @@ def extremal_search(
     box: int = 5,
     seed: int = 0,
     iterations: int = 2000,
-    budget: int = DEFAULT_EXHAUSTIVE_BUDGET,
     mode: str = "auto",
 ) -> ExtremalResult:
     """Search for an n-pair matching minimizing |P| + |S| inside the
     coordinate box [-box, box]^2.
 
-    Exhaustive enumeration when n <= 6 and the subset space fits the
-    budget (ties resolve to the lexicographically smallest matching);
-    otherwise seeded local search from structured starts, deterministic
-    for a given seed.
+    Exhaustive enumeration when n <= 6 and the subset space fits
+    DEFAULT_EXHAUSTIVE_BUDGET (ties resolve to the lexicographically
+    smallest matching); otherwise seeded local search from structured
+    starts, deterministic for a given seed.
     """
     if n < 1:
         raise ValueError(f"matching size must be >= 1, got {n}")
@@ -339,11 +329,11 @@ def extremal_search(
     if len(universe) < n:
         raise ValueError(f"box [-{box}, {box}]^2 holds fewer than {n} pairs")
     if mode == "auto":
-        mode = "exhaustive" if n <= 6 and math.comb(len(universe), n) <= budget else "local"
+        mode = "exhaustive" if n <= 6 and math.comb(len(universe), n) <= DEFAULT_EXHAUSTIVE_BUDGET else "local"
     if mode == "exhaustive":
         space = math.comb(len(universe), n)
-        if space > budget:
-            raise BudgetExceededError(f"{space} candidate matchings exceed budget {budget}")
+        if space > DEFAULT_EXHAUSTIVE_BUDGET:
+            raise BudgetExceededError(f"{space} candidate matchings exceed budget {DEFAULT_EXHAUSTIVE_BUDGET}")
         best_pairs: tuple[tuple[int, int], ...] | None = None
         best_score = None
         for combo in itertools.combinations(universe, n):

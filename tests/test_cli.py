@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from addcomb import gaps
+from addcomb import curves, gaps, intset, powers, sumproduct
 from addcomb.cli import COMMANDS, main, parse_args
 from addcomb.intset import IntSet
 from addcomb.records import RecordStore
@@ -339,6 +339,35 @@ def test_clique_max_results_zero_and_negative(capsys, monkeypatch, tmp_path):
 def test_usage_error_prints_no_header_and_creates_no_store(capsys, monkeypatch, tmp_path, argv):
     code, out = run_cli(capsys, monkeypatch, tmp_path, *argv)
     assert (code, out) == (2, "")
+    assert not (tmp_path / "store.jsonl").exists()
+
+
+# each case sets one command's work limit to 1
+@pytest.mark.parametrize("module, limit, argv", [
+    pytest.param(powers, "DEFAULT_SCAN_BUDGET",
+                 ("qk", "--k", "2", "--n", "3", "--pmax", "5", "--rmax", "5"), id="qk"),
+    pytest.param(gaps, "DEFAULT_ENUM_BUDGET",
+                 ("scan-gap", "--k", "2", "--gap", '{"base":1,"steps":[2],"lengths":[9]}'), id="scan-gap"),
+    pytest.param(gaps, "DEFAULT_PAIR_BUDGET",
+                 ("mobius-check", "--i-set", "[1,2]", "--gap", '{"base":1,"steps":[2],"lengths":[9]}'),
+                 id="mobius-check"),
+    pytest.param(curves, "DEFAULT_PROBE_BUDGET",
+                 ("probe-quadruples", "--alpha-min", "-3", "--alpha-max", "3", "--height", "15"),
+                 id="probe-quadruples"),
+    pytest.param(curves, "DEFAULT_CLIQUE_NODE_BUDGET",
+                 ("clique", "--height", "50", "--size", "3"), id="clique"),
+    pytest.param(intset, "DEFAULT_WORK_BUDGET",
+                 ("mixed-energy", "--set", "[0,1,4]", "--k", "2", "--l", "3"), id="mixed-energy"),
+    pytest.param(powers, "DEFAULT_INCLUSION_BUDGET",
+                 ("inclusion-check", "--set", "[0,1,3]", "--z", "[1,2]", "--d", "2", "--l", "3"),
+                 id="inclusion-check"),
+    pytest.param(sumproduct, "DEFAULT_EXHAUSTIVE_BUDGET",
+                 ("extremal", "--n", "3", "--box", "4", "--mode", "exhaustive"), id="extremal-exhaustive"),
+])
+def test_budget_exceeded_prints_nothing_and_creates_no_store(capsys, monkeypatch, tmp_path, module, limit, argv):
+    monkeypatch.setattr(module, limit, 1)
+    code, out = run_cli(capsys, monkeypatch, tmp_path, *argv)
+    assert (code, out) == (3, "")
     assert not (tmp_path / "store.jsonl").exists()
 
 

@@ -15,6 +15,7 @@ from addcomb import (
     point_search,
     square_sum_clique_search,
 )
+from addcomb import curves
 from addcomb.curves import census_from_counts, is_squarefree, quadruple_counts, quadruple_curve
 from conftest import naive_clique_search
 
@@ -149,9 +150,10 @@ def test_probe_quadruple_family_all_negative_far():
     assert census.max_count == 0
 
 
-def test_probe_budget():
+def test_probe_budget(monkeypatch):
+    monkeypatch.setattr(curves, "DEFAULT_PROBE_BUDGET", 1000)
     with pytest.raises(BudgetExceededError):
-        quadruple_counts(-10, 10, 1000, budget=1000)
+        quadruple_counts(-10, 10, 1000)
 
 
 def test_quadruple_counts_match_census():
@@ -207,10 +209,9 @@ def test_clique_downward_closed():
 def test_clique_cap_and_order():
     capped = square_sum_clique_search(50, 3, max_results=2)
     full = square_sum_clique_search(50, 3)
-    assert [c.elements for c in capped] == [c.elements for c in full[:2]]
+    assert capped == full[:2]
     # ascending by smallest element, then lexicographic
-    keys = [c.elements for c in full]
-    assert keys == sorted(keys)
+    assert full == sorted(full)
 
 
 def test_clique_search_matches_naive_oracle():
@@ -225,7 +226,7 @@ def test_clique_search_matches_naive_oracle():
             k = rng.randint(2, len(full) + 2)
             for cap in (None, 0, 1, k):
                 got = square_sum_clique_search(height, size, max_results=cap)
-                assert [c.elements for c in got] == full[:cap], (height, size, cap)
+                assert got == full[:cap], (height, size, cap)
     assert found[2] and found[3] and found[4]
 
 
@@ -236,25 +237,26 @@ def test_clique_cap_zero_and_negative():
             square_sum_clique_search(50, 3, max_results=cap)
 
 
-def test_clique_node_budget():
+def test_clique_node_budget(monkeypatch):
+    assert len(square_sum_clique_search(20000, 3)) == 88917
+    monkeypatch.setattr(curves, "DEFAULT_CLIQUE_NODE_BUDGET", 50)
     for size in (2, 3, 4):
         with pytest.raises(BudgetExceededError):
-            square_sum_clique_search(500, size, node_budget=50)
-    assert len(square_sum_clique_search(20000, 3)) == 88917
+            square_sum_clique_search(500, size)
 
 
-def test_clique_cap_stops_size_two_listing():
+def test_clique_cap_stops_size_two_listing(monkeypatch):
     # at this height the full pair list is far past the default budget;
     # a capped size-2 query lists only the pairs it keeps
     first = [(1, 3), (1, 8), (1, 15), (1, 24), (1, 35)]
-    got = square_sum_clique_search(10**9, 2, max_results=5)
-    assert [c.elements for c in got] == first
-    got = square_sum_clique_search(10**9, 2, max_results=5, node_budget=5)
-    assert [c.elements for c in got] == first
+    assert square_sum_clique_search(10**9, 2, max_results=5) == first
+    monkeypatch.setattr(curves, "DEFAULT_CLIQUE_NODE_BUDGET", 5)
+    assert square_sum_clique_search(10**9, 2, max_results=5) == first
     with pytest.raises(BudgetExceededError):
-        square_sum_clique_search(10**9, 2, max_results=6, node_budget=5)
+        square_sum_clique_search(10**9, 2, max_results=6)
+    monkeypatch.setattr(curves, "DEFAULT_CLIQUE_NODE_BUDGET", 1000)
     with pytest.raises(BudgetExceededError):
-        square_sum_clique_search(10**9, 2, node_budget=1000)
+        square_sum_clique_search(10**9, 2)
 
 
 def test_pair_square_edges():

@@ -40,9 +40,10 @@ def test_enumerate_examples():
     assert enumerate_gap(Gap(0, (1, 2), (3, 3))) == IntSet([0, 1, 2, 3, 4, 5, 6])
 
 
-def test_enumerate_budget():
+def test_enumerate_budget(monkeypatch):
+    monkeypatch.setattr(gaps, "DEFAULT_ENUM_BUDGET", 1 << 20)
     with pytest.raises(BudgetExceededError):
-        enumerate_gap(Gap(0, (1, 1000), (5000, 5000)), budget=1 << 20)
+        enumerate_gap(Gap(0, (1, 1000), (5000, 5000)))
 
 
 def test_gcd_normalize_examples():

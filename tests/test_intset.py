@@ -260,9 +260,10 @@ def test_mixed_energy_symmetry_random():
         assert mixed_energy(a, 3, 4) == mixed_energy(a, 4, 3) == naive_mixed(a, 3, 4)
 
 
-def test_mixed_energy_budget():
+def test_mixed_energy_budget(monkeypatch):
+    monkeypatch.setattr(intset, "DEFAULT_WORK_BUDGET", 1000)
     with pytest.raises(BudgetExceededError):
-        mixed_energy(IntSet(range(40)), 4, 4, budget=1000)
+        mixed_energy(IntSet(range(40)), 4, 4)
 
 
 def test_empty_set_conventions():

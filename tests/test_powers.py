@@ -17,6 +17,7 @@ from addcomb import (
     replay_scan_record,
     scan_gap,
 )
+from addcomb import powers
 from addcomb.powers import TILE_CELLS, ScanFrontier, kth_root_floor
 
 
@@ -286,6 +287,7 @@ def test_inclusion_examples():
     assert multiplicative_inclusion_check(IntSet(range(100)), IntSet([1, 2]), 2, 5).holds
 
 
-def test_inclusion_budget():
+def test_inclusion_budget(monkeypatch):
+    monkeypatch.setattr(powers, "DEFAULT_INCLUSION_BUDGET", 100)
     with pytest.raises(BudgetExceededError):
-        multiplicative_inclusion_check(IntSet([0, 1]), IntSet([1]), 2, 40, budget=100)
+        multiplicative_inclusion_check(IntSet([0, 1]), IntSet([1]), 2, 40)
